@@ -15,7 +15,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import EnumerationCapExceeded, FormatError
 from .palette import Palette, admissible_pairs
@@ -178,17 +178,21 @@ def has_loop(d: Digraph) -> Optional[int]:
     return min(loops) if loops else None
 
 
-def _find_tk(out: list[int], n: int, k: int) -> Optional[tuple[int, ...]]:
+def _find_tk(out: list[int], n: int, k: int,
+             spend: Optional[Callable[[int], None]] = None) -> Optional[tuple[int, ...]]:
     """Ordered DFS for k distinct vertices with every forward arc present.
 
     out must have loops stripped.  Vertices are tried in increasing index so
-    the first witness is deterministic.
+    the first witness is deterministic.  spend, when given, is called with 1
+    at every search node.
     """
     if k > n:
         return None
     prefix: list[int] = []
 
     def rec(cand: int) -> bool:
+        if spend is not None:
+            spend(1)
         if len(prefix) == k:
             return True
         if cand.bit_count() < k - len(prefix):
@@ -208,15 +212,18 @@ def _find_tk(out: list[int], n: int, k: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
+def find_transitive_tournament(d: Digraph, k: int, *,
+                               spend: Optional[Callable[[int], None]] = None
+                               ) -> Optional[tuple[int, ...]]:
     """An ordered k-tuple (v_1..v_k) with all arcs v_i -> v_j for i < j, or None.
 
     Backward arcs are permitted and loops are irrelevant: containment only
-    asks for the forward arcs.
+    asks for the forward arcs.  spend, when given, is charged one unit per
+    search node (a budget's spend method, which may raise to stop the search).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(out_masks(d, strip_loops=True), d.num_vertices, k)
+    return _find_tk(out_masks(d, strip_loops=True), d.num_vertices, k, spend)
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:

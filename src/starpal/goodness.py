@@ -5,9 +5,18 @@ coloring of the vertex pairs puts every edge's ordered color triple inside A:
 for an edge {u, v, w} with u before v before w, the triple
 (color(uv), color(uw), color(vw)) must be admissible.
 
-Two independent deciders live here: `is_good`, an ordering sweep with a
-backtracking pair-coloring search, and `brute_force_is_good`, a cap-guarded
-full enumeration used as an oracle against the first.
+Two independent deciders live here.  `is_good` decides a star S_k through
+the palette's auxiliary digraph: P is S_k-good exactly when
+`aux_digraph(P, AuxPolicy.LITERAL)` has a loop or contains a transitive
+tournament T_k.  Each leaf-leaf pair of S_k lies in exactly one edge, so its
+color projects away: two leaves before the apex need (2,3)-admissibility of
+their apex-pair colors, two leaves after it need (1,2), and a straddling pair
+needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
+bidirected, so any T_k can be reordered with its block-1 vertices first; a
+loop lets every leaf take its color on one side of the apex.  Any other
+3-graph goes to a sweep over all orderings with a backtracking pair-coloring
+search.  `brute_force_is_good`, a cap-guarded full enumeration, is the oracle
+against both.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
+from .digraphs import AuxPolicy, aux_digraph, find_transitive_tournament, has_loop
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .palette import Palette
 
@@ -188,31 +198,20 @@ class _Budget:
             raise BudgetExceeded(self.spent, self.limit)
 
 
-def _candidate_orderings(f: ThreeGraph) -> Iterator[tuple[int, ...]]:
-    """Orderings sufficient to decide goodness.
-
-    For a star, leaf swaps are automorphisms, so only the apex rank matters:
-    k+1 orderings instead of (k+1)!.  Any other 3-graph falls back to the full
-    permutation sweep.
-    """
-    n = f.num_vertices
-    apex = star_apex(f)
-    if apex is not None:
-        leaves = [v for v in range(n) if v != apex]
-        for r in range(n):
-            yield tuple(leaves[:r] + [apex] + leaves[r:])
-    else:
-        yield from itertools.permutations(range(n))
-
-
 def is_good(p: Palette, f: ThreeGraph, *,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[GoodnessWitness]:
     """Decide goodness of p for f; return a verified witness or None (bad).
 
-    Outer loop: candidate vertex orderings.  Inner loop: backtracking search
-    for a pair coloring, pruning with per-pair candidate sets (an edge whose
-    compatible-triple set empties kills the branch).  Exceeding node_budget
-    raises BudgetExceeded rather than returning a verdict.
+    A star goes to the auxiliary-digraph decision (`_star_witness`): good
+    exactly when `aux_digraph(p, AuxPolicy.LITERAL)` has a loop or a T_k,
+    with the witness built from that loop or T_k.  Any other 3-graph goes to
+    a sweep over all vertex orderings, each with a backtracking search for a
+    pair coloring that prunes with per-pair candidate sets.
+
+    node_budget bounds the elementary checks: on the star route |P| for the
+    projection scan plus one per T_k search node, on the sweep |P| per
+    constraint propagation.  Exceeding it raises BudgetExceeded rather than
+    returning a verdict.
     """
     if not f.edges:
         w = GoodnessWitness(tuple(range(f.num_vertices)), {})
@@ -220,14 +219,57 @@ def is_good(p: Palette, f: ThreeGraph, *,
     if not p.triples:
         return None
     budget = _Budget(node_budget)
+    apex = star_apex(f)
+    if apex is not None:
+        w = _star_witness(p, f, apex, budget)
+        assert w is None or verify_witness(p, f, w)
+        return w
     triples = p.sorted_triples()
-    for ordering in _candidate_orderings(f):
+    for ordering in itertools.permutations(range(f.num_vertices)):
         coloring = _solve_ordering(p, f, ordering, triples, budget)
         if coloring is not None:
             w = GoodnessWitness(ordering, coloring)
             assert verify_witness(p, f, w)
             return w
     return None
+
+
+def _star_witness(p: Palette, f: ThreeGraph, apex: int,
+                  budget: _Budget) -> Optional[GoodnessWitness]:
+    """Witness for the star f from a loop or T_k of the aux digraph, or None.
+
+    Leaf i takes aux vertex verts[i], block-1 vertices first: the leaves on
+    block-1 vertices precede the apex, the rest follow it, and each leaf's
+    apex-pair color is its vertex mod m.  Each leaf-leaf color is the free
+    coordinate of the least triple realising the pair's projection.
+    """
+    m = p.num_colors
+    leaves = [v for v in range(f.num_vertices) if v != apex]
+    k = len(leaves)
+    budget.spend(len(p.triples))
+    d = aux_digraph(p, AuxPolicy.LITERAL)
+    loop = has_loop(d)
+    if loop is not None:
+        verts = [loop] * k
+    else:
+        tk = find_transitive_tournament(d, k, spend=budget.spend)
+        if tk is None:
+            return None
+        verts = sorted(tk, key=lambda v: v >= m)
+    # free[(i, j)][(a, b)]: least color completing a triple whose positions
+    # i and j (1-based) carry a and b.
+    free: dict[Pair, dict[Pair, int]] = {(1, 2): {}, (1, 3): {}, (2, 3): {}}
+    for (x, y, z) in p.sorted_triples():
+        free[(1, 2)].setdefault((x, y), z)
+        free[(1, 3)].setdefault((x, z), y)
+        free[(2, 3)].setdefault((y, z), x)
+    r = sum(1 for v in verts if v < m)
+    coloring = {_key(apex, leaf): v % m for leaf, v in zip(leaves, verts)}
+    for i, j in itertools.combinations(range(k), 2):
+        a, b = verts[i] % m, verts[j] % m
+        positions = (2, 3) if j < r else (1, 2) if i >= r else (1, 3)
+        coloring[_key(leaves[i], leaves[j])] = free[positions][(a, b)]
+    return GoodnessWitness(tuple(leaves[:r] + [apex] + leaves[r:]), coloring)
 
 
 def _solve_ordering(p: Palette, f: ThreeGraph, ordering: tuple[int, ...],
@@ -275,25 +317,37 @@ def _solve_ordering(p: Palette, f: ThreeGraph, ordering: tuple[int, ...],
                             order.append(cj)
         return True
 
-    def backtrack(doms: list[int]) -> Optional[list[int]]:
+    def branch_var(doms: list[int]) -> int:
+        """The first undecided pair of smallest domain, or -1 when all are decided."""
         best_var = -1
         best_size = m + 1
         for i, d in enumerate(doms):
             size = d.bit_count()
             if 1 < size < best_size:
                 best_var, best_size = i, size
-        if best_var < 0:
+        return best_var
+
+    def backtrack(doms: list[int]) -> Optional[list[int]]:
+        """Depth-first search over colors, least first, with an explicit stack."""
+        var = branch_var(doms)
+        if var < 0:
             return doms
-        d = doms[best_var]
-        while d:
-            low = d & -d
-            d ^= low
+        # Frames: (domains, branching pair, colors of that pair still to try).
+        stack = [(doms, var, doms[var])]
+        while stack:
+            doms, var, rest = stack[-1]
+            if not rest:
+                stack.pop()
+                continue
+            low = rest & -rest
+            stack[-1] = (doms, var, rest ^ low)
             trial = doms.copy()
-            trial[best_var] = low
-            if propagate(trial, var_cons[best_var]):
-                result = backtrack(trial)
-                if result is not None:
-                    return result
+            trial[var] = low
+            if propagate(trial, var_cons[var]):
+                nxt = branch_var(trial)
+                if nxt < 0:
+                    return trial
+                stack.append((trial, nxt, trial[nxt]))
         return None
 
     doms = [full] * len(pairs)

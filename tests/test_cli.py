@@ -174,6 +174,14 @@ def test_budget_exhaustion_exits_3(bad_file):
     assert "budget" in proc.stderr
 
 
+def test_large_star_with_loop_is_good(tmp_path):
+    path = tmp_path / "loop.pal"
+    path.write_text("palette 2\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n0 0 1\n")
+    proc = run("check", str(path), "--star", "50")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "verdict good"
+
+
 def test_usage_error_exits_2():
     proc = run("turan-number", "--n", "2", "--k", "3")
     assert proc.returncode == 2

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from starpal import (BudgetExceeded, EnumerationCapExceeded, GoodnessWitness,
                      Palette, ThreeGraph, brute_force_is_good, is_good,
                      iter_all_triples, make_star, parse_threegraph, permute_colors,
                      serialize_threegraph, star_apex, verify_witness)
+from starpal.goodness import relabel_vertices
 
 small_palettes = st.integers(1, 2).flatmap(
     lambda m: st.builds(
@@ -168,3 +170,60 @@ def test_non_star_graph():
     verdict = is_good(p, two_edges)
     brute = brute_force_is_good(p, two_edges)
     assert (verdict is None) == (brute is None)
+
+
+def _agrees_with_oracle(p, f):
+    fast, slow = is_good(p, f), brute_force_is_good(p, f)
+    assert (fast is None) == (slow is None), (f.sorted_edges(), p.sorted_triples())
+    if fast is not None:
+        assert verify_witness(p, f, fast)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_star_route_matches_brute_force_on_all_two_color_palettes(k):
+    star = make_star(k)
+    for p in all_palettes(2):
+        _agrees_with_oracle(p, star)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_star_route_matches_brute_force_on_random_three_color_palettes(k):
+    rng = random.Random(20 + k)
+    universe = list(iter_all_triples(3))
+    star = make_star(k)
+    for _ in range(300):
+        p = Palette(3, rng.sample(universe, rng.randrange(0, 12)))
+        _agrees_with_oracle(p, star)
+
+
+def test_star_route_matches_brute_force_on_relabeled_stars():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, k = rng.choice([(2, 3), (2, 4), (3, 3)])
+        perm = list(range(k + 1))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        star = relabel_vertices(make_star(k), perm)
+        assert star_apex(star) == perm[0] != 0
+        p = Palette(m, rng.sample(list(iter_all_triples(m)), rng.randrange(0, 2 * m * m)))
+        _agrees_with_oracle(p, star)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 7), st.integers(4, 5).flatmap(
+    lambda m: st.builds(Palette, st.just(m), st.frozensets(
+        st.tuples(*[st.integers(0, m - 1)] * 3), max_size=3 * m * m))))
+def test_star_route_good_verdicts_verify(k, p):
+    star = make_star(k)
+    w = is_good(p, star)
+    if w is not None:
+        assert verify_witness(p, star, w)
+
+
+def test_deep_non_star_search_does_not_recurse():
+    f = ThreeGraph(51, make_star(50).edges | {(1, 2, 3)})
+    assert star_apex(f) is None
+    p = Palette.full(2)
+    w = is_good(p, f)
+    assert w is not None
+    assert verify_witness(p, f, w)
