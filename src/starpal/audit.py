@@ -335,13 +335,13 @@ def audit_chain(p: Palette, k: int, *,
         # Two hold by construction per rule set; the other two are
         # palette-dependent, so they gate the steps that lean on them.
         ident_slot1 = all(
-            dg.out_degree(a) == stats.degree(1, 2, a) + stats.degree(1, 3, a)
+            st_d.out_degrees[a] == stats.degree(1, 2, a) + stats.degree(1, 3, a)
             for a in range(n))
         ident_slot3 = all(
-            dg.in_degree(n + a) == stats.degree(3, 1, a) + stats.degree(3, 2, a)
+            st_d.in_degrees[n + a] == stats.degree(3, 1, a) + stats.degree(3, 2, a)
             for a in range(n))
-        ident_e21 = all(d2.in_degree(a) == stats.degree(2, 1, a) for a in range(n))
-        ident_e23 = all(d1.out_degree(a) == stats.degree(2, 3, a) for a in range(n))
+        ident_e21 = all(st_d2.in_degrees[a] == stats.degree(2, 1, a) for a in range(n))
+        ident_e23 = all(st_d1.out_degrees[a] == stats.degree(2, 3, a) for a in range(n))
 
         slot1 = _agg(f"slot1_vs_m.{suffix}",
                      [(r.s1, m_d[r.color]) for r in rows],

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .errors import EnumerationCapExceeded, FormatError
-from .palette import Palette, admissible_pairs
+from .palette import Palette, _all_in_range
 
 Arc = tuple[int, int]
 
@@ -34,17 +34,19 @@ class Digraph:
     arcs: frozenset[Arc] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
-            raise ValueError(f"num_vertices must be a nonnegative integer, got {self.num_vertices!r}")
-        norm = []
-        for a in self.arcs:
-            a = tuple(a)
-            if len(a) != 2 or not all(isinstance(v, int) for v in a):
-                raise ValueError(f"not an arc: {a!r}")
-            if not all(0 <= v < self.num_vertices for v in a):
-                raise ValueError(f"arc {a} out of range for {self.num_vertices} vertices")
-            norm.append(a)
-        object.__setattr__(self, "arcs", frozenset(norm))
+        n = self.num_vertices
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"num_vertices must be a nonnegative integer, got {n!r}")
+        items = list(map(tuple, self.arcs))
+        arcs = frozenset(items)
+        if not _all_in_range(arcs, 2, n):
+            # The slow loop accepts int subclasses and names the first bad arc.
+            for a in items:
+                if len(a) != 2 or not all(isinstance(v, int) for v in a):
+                    raise ValueError(f"not an arc: {a!r}")
+                if not all(0 <= v < n for v in a):
+                    raise ValueError(f"arc {a} out of range for {n} vertices")
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def num_arcs(self) -> int:
@@ -146,30 +148,42 @@ class AuxPolicy(enum.Enum):
     OBSERVATION = "observation"
 
 
+def aux_out_masks(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> list[int]:
+    """Out-neighborhood bitmasks of the auxiliary digraph, loops kept.
+
+    One pass over the triples: a triple (x, y, z) gives the block arcs of its
+    (2,3) and (1,2) projections (which block gets which is the policy) and
+    both cross arcs of its (1,3) projection.
+    """
+    m = p.num_colors
+    out = [0] * (2 * m)
+    if policy is AuxPolicy.LITERAL:
+        for (x, y, z) in p.triples:
+            out[y] |= 1 << z
+            out[m + x] |= 1 << (m + y)
+            out[x] |= 1 << (m + z)
+            out[m + z] |= 1 << x
+    elif policy is AuxPolicy.OBSERVATION:
+        for (x, y, z) in p.triples:
+            out[x] |= 1 << y
+            out[m + y] |= 1 << (m + z)
+            out[x] |= 1 << (m + z)
+            out[m + z] |= 1 << x
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    return out
+
+
 def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
     """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
 
     Vertex a in the first block is index a; in the second block, index m + a.
+    Its arcs are those of `aux_out_masks(p, policy)`.
     """
-    m = p.num_colors
-    adm12 = admissible_pairs(p, 1, 2)
-    adm23 = admissible_pairs(p, 2, 3)
-    adm13 = admissible_pairs(p, 1, 3)
-    if policy is AuxPolicy.LITERAL:
-        block1, block2 = adm23, adm12
-    elif policy is AuxPolicy.OBSERVATION:
-        block1, block2 = adm12, adm23
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    arcs: set[Arc] = set()
-    for (a, b) in block1:
-        arcs.add((a, b))
-    for (a, b) in block2:
-        arcs.add((m + a, m + b))
-    for (a, b) in adm13:
-        arcs.add((a, m + b))
-        arcs.add((m + b, a))
-    return Digraph(2 * m, frozenset(arcs))
+    out = aux_out_masks(p, policy)
+    n = len(out)
+    return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                if out[u] >> v & 1))
 
 
 def has_loop(d: Digraph) -> Optional[int]:
@@ -212,18 +226,15 @@ def _find_tk(out: list[int], n: int, k: int,
     return None
 
 
-def find_transitive_tournament(d: Digraph, k: int, *,
-                               spend: Optional[Callable[[int], None]] = None
-                               ) -> Optional[tuple[int, ...]]:
+def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """An ordered k-tuple (v_1..v_k) with all arcs v_i -> v_j for i < j, or None.
 
     Backward arcs are permitted and loops are irrelevant: containment only
-    asks for the forward arcs.  spend, when given, is charged one unit per
-    search node (a budget's spend method, which may raise to stop the search).
+    asks for the forward arcs.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(out_masks(d, strip_loops=True), d.num_vertices, k, spend)
+    return _find_tk(out_masks(d, strip_loops=True), d.num_vertices, k)
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:
@@ -517,24 +528,25 @@ def degree_identity_audit(p: Palette) -> DegreeIdentityReport:
     results = []
     for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION):
         d = aux_digraph(p, policy)
-        d1 = induced_subdigraph(d, list(range(m)))
-        d2 = induced_subdigraph(d, list(range(m, 2 * m)))
+        outs, ins = degrees(d)
+        block1_outs, _ = degrees(induced_subdigraph(d, list(range(m))))
+        _, block2_ins = degrees(induced_subdigraph(d, list(range(m, 2 * m))))
         checks = (
             IdentityCheck(
                 "block1_out_vs_d23",
-                tuple(d1.out_degree(a) for a in range(m)),
+                block1_outs,
                 tuple(stats.degree(2, 3, a) for a in range(m))),
             IdentityCheck(
                 "block2_in_vs_d21",
-                tuple(d2.in_degree(a) for a in range(m)),
+                block2_ins,
                 tuple(stats.degree(2, 1, a) for a in range(m))),
             IdentityCheck(
                 "full_out_vs_d12_d13",
-                tuple(d.out_degree(a) for a in range(m)),
+                outs[:m],
                 tuple(stats.degree(1, 2, a) + stats.degree(1, 3, a) for a in range(m))),
             IdentityCheck(
                 "full_in_vs_d31_d32",
-                tuple(d.in_degree(m + a) for a in range(m)),
+                ins[m:],
                 tuple(stats.degree(3, 1, a) + stats.degree(3, 2, a) for a in range(m))),
         )
         results.append((policy, checks))

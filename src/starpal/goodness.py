@@ -13,10 +13,12 @@ color projects away: two leaves before the apex need (2,3)-admissibility of
 their apex-pair colors, two leaves after it need (1,2), and a straddling pair
 needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
 bidirected, so any T_k can be reordered with its block-1 vertices first; a
-loop lets every leaf take its color on one side of the apex.  Any other
-3-graph goes to a sweep over all orderings with a backtracking pair-coloring
-search.  `brute_force_is_good`, a cap-guarded full enumeration, is the oracle
-against both.
+loop lets every leaf take its color on one side of the apex.  The decision
+runs on the digraph's out-neighborhood bitmasks (`aux_out_masks`), built in
+one pass over the triples; no `Digraph` object is made.  Any other 3-graph
+goes to a sweep over all orderings with a backtracking pair-coloring search.
+`brute_force_is_good`, a cap-guarded full enumeration, is the oracle against
+both.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
-from .digraphs import AuxPolicy, aux_digraph, find_transitive_tournament, has_loop
+from .digraphs import AuxPolicy, _find_tk, aux_out_masks
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .palette import Palette
 
@@ -60,10 +63,30 @@ class ThreeGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def relevant_pairs(self) -> list[Pair]:
+    def relevant_pairs(self) -> tuple[Pair, ...]:
         """Vertex pairs that occur inside at least one edge, sorted."""
-        pairs = {pr for e in self.edges for pr in itertools.combinations(e, 2)}
-        return sorted(pairs)
+        return self._pairs
+
+    # Computed once per instance: the deciders ask for both on every call.
+    @cached_property
+    def _pairs(self) -> tuple[Pair, ...]:
+        return tuple(sorted({pr for e in self.edges for pr in itertools.combinations(e, 2)}))
+
+    @cached_property
+    def _apex(self) -> Optional[int]:
+        if not self.edges:
+            return None
+        common = set(range(self.num_vertices))
+        for e in self.edges:
+            common &= set(e)
+            if not common:
+                return None
+        for apex in sorted(common):
+            leaves = sorted(v for v in range(self.num_vertices) if v != apex)
+            expected = {tuple(sorted((apex, x, y))) for x, y in itertools.combinations(leaves, 2)}
+            if expected == set(self.edges):
+                return apex
+        return None
 
 
 def make_star(k: int) -> ThreeGraph:
@@ -76,19 +99,7 @@ def make_star(k: int) -> ThreeGraph:
 
 def star_apex(f: ThreeGraph) -> Optional[int]:
     """The least vertex making f a star with that apex, or None if f is no star."""
-    if not f.edges:
-        return None
-    common = set(range(f.num_vertices))
-    for e in f.edges:
-        common &= set(e)
-        if not common:
-            return None
-    for apex in sorted(common):
-        leaves = sorted(v for v in range(f.num_vertices) if v != apex)
-        expected = {tuple(sorted((apex, x, y))) for x, y in itertools.combinations(leaves, 2)}
-        if expected == set(f.edges):
-            return apex
-    return None
+    return f._apex
 
 
 def relabel_vertices(f: ThreeGraph, perm: list[int]) -> ThreeGraph:
@@ -163,8 +174,7 @@ def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
     """
     if sorted(w.ordering) != list(range(f.num_vertices)):
         raise ValueError(f"ordering is not a permutation of 0..{f.num_vertices - 1}")
-    needed = set(f.relevant_pairs())
-    for pr in needed:
+    for pr in f.relevant_pairs():
         if pr not in w.pair_coloring:
             raise ValueError(f"pair coloring misses pair {pr}")
     for pr, c in w.pair_coloring.items():
@@ -204,9 +214,10 @@ def is_good(p: Palette, f: ThreeGraph, *,
 
     A star goes to the auxiliary-digraph decision (`_star_witness`): good
     exactly when `aux_digraph(p, AuxPolicy.LITERAL)` has a loop or a T_k,
-    with the witness built from that loop or T_k.  Any other 3-graph goes to
-    a sweep over all vertex orderings, each with a backtracking search for a
-    pair coloring that prunes with per-pair candidate sets.
+    read from its out-masks (`aux_out_masks`), with the witness built from
+    that loop or T_k.  Any other 3-graph goes to a sweep over all vertex
+    orderings, each with a backtracking search for a pair coloring that
+    prunes with per-pair candidate sets.
 
     node_budget bounds the elementary checks: on the star route |P| for the
     projection scan plus one per T_k search node, on the sweep |P| per
@@ -238,37 +249,39 @@ def _star_witness(p: Palette, f: ThreeGraph, apex: int,
                   budget: _Budget) -> Optional[GoodnessWitness]:
     """Witness for the star f from a loop or T_k of the aux digraph, or None.
 
-    Leaf i takes aux vertex verts[i], block-1 vertices first: the leaves on
-    block-1 vertices precede the apex, the rest follow it, and each leaf's
-    apex-pair color is its vertex mod m.  Each leaf-leaf color is the free
-    coordinate of the least triple realising the pair's projection.
+    Works on the out-masks of `aux_out_masks(p, AuxPolicy.LITERAL)`: the loop
+    is the least vertex on its own out-mask, and a loopless mask list goes
+    straight to the T_k search.  Leaf i takes aux vertex verts[i], block-1
+    vertices first: the leaves on block-1 vertices precede the apex, the rest
+    follow it, and each leaf's apex-pair color is its vertex mod m.  Each
+    leaf-leaf color is the least color completing a triple that realises the
+    pair's projection.
     """
     m = p.num_colors
     leaves = [v for v in range(f.num_vertices) if v != apex]
     k = len(leaves)
     budget.spend(len(p.triples))
-    d = aux_digraph(p, AuxPolicy.LITERAL)
-    loop = has_loop(d)
+    out = aux_out_masks(p, AuxPolicy.LITERAL)
+    loop = next((v for v, mask in enumerate(out) if mask >> v & 1), None)
     if loop is not None:
         verts = [loop] * k
     else:
-        tk = find_transitive_tournament(d, k, spend=budget.spend)
+        tk = _find_tk(out, 2 * m, k, budget.spend)
         if tk is None:
             return None
         verts = sorted(tk, key=lambda v: v >= m)
-    # free[(i, j)][(a, b)]: least color completing a triple whose positions
-    # i and j (1-based) carry a and b.
-    free: dict[Pair, dict[Pair, int]] = {(1, 2): {}, (1, 3): {}, (2, 3): {}}
-    for (x, y, z) in p.sorted_triples():
-        free[(1, 2)].setdefault((x, y), z)
-        free[(1, 3)].setdefault((x, z), y)
-        free[(2, 3)].setdefault((y, z), x)
     r = sum(1 for v in verts if v < m)
+    triples = p.triples
     coloring = {_key(apex, leaf): v % m for leaf, v in zip(leaves, verts)}
     for i, j in itertools.combinations(range(k), 2):
         a, b = verts[i] % m, verts[j] % m
-        positions = (2, 3) if j < r else (1, 2) if i >= r else (1, 3)
-        coloring[_key(leaves[i], leaves[j])] = free[positions][(a, b)]
+        if j < r:  # both leaves precede the apex: (2,3)-projection
+            free = next(c for c in range(m) if (c, a, b) in triples)
+        elif i >= r:  # both follow it: (1,2)-projection
+            free = next(c for c in range(m) if (a, b, c) in triples)
+        else:  # the pair straddles it: (1,3)-projection
+            free = next(c for c in range(m) if (a, c, b) in triples)
+        coloring[(leaves[i], leaves[j])] = free  # leaves increase, so the key is sorted
     return GoodnessWitness(tuple(leaves[:r] + [apex] + leaves[r:]), coloring)
 
 

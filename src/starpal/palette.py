@@ -35,17 +35,19 @@ class Palette:
     triples: frozenset[Triple] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_colors, int) or self.num_colors < 1:
-            raise ValueError(f"num_colors must be a positive integer, got {self.num_colors!r}")
-        norm = []
-        for t in self.triples:
-            t = tuple(t)
-            if len(t) != 3 or not all(isinstance(c, int) for c in t):
-                raise ValueError(f"not an ordered triple of ints: {t!r}")
-            if not all(0 <= c < self.num_colors for c in t):
-                raise ValueError(f"triple {t} out of range for {self.num_colors} colors")
-            norm.append(t)
-        object.__setattr__(self, "triples", frozenset(norm))
+        m = self.num_colors
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"num_colors must be a positive integer, got {m!r}")
+        items = list(map(tuple, self.triples))
+        triples = frozenset(items)
+        if not _all_in_range(triples, 3, m):
+            # The slow loop accepts int subclasses and names the first bad triple.
+            for t in items:
+                if len(t) != 3 or not all(isinstance(c, int) for c in t):
+                    raise ValueError(f"not an ordered triple of ints: {t!r}")
+                if not all(0 <= c < m for c in t):
+                    raise ValueError(f"triple {t} out of range for {m} colors")
+        object.__setattr__(self, "triples", triples)
 
     @classmethod
     def empty(cls, num_colors: int) -> "Palette":
@@ -72,6 +74,20 @@ class Palette:
 
     def without_triple(self, t: Triple) -> "Palette":
         return Palette(self.num_colors, self.triples - {tuple(t)})
+
+
+def _all_in_range(tuples: frozenset[tuple], size: int, bound: int) -> bool:
+    """Whether every tuple has `size` entries of exact type int in [0, bound).
+
+    Each test is one pass in C, so constructors can validate cheaply; a False
+    sends the caller to its per-item loop, which accepts int subclasses such as
+    bool and raises the precise error otherwise.
+    """
+    if not tuples:
+        return True
+    return (set(map(len, tuples)) == {size}
+            and set(map(type, itertools.chain.from_iterable(tuples))) == {int}
+            and min(map(min, tuples)) >= 0 and max(map(max, tuples)) < bound)
 
 
 def iter_all_triples(num_colors: int) -> Iterator[Triple]:

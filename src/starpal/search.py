@@ -89,11 +89,13 @@ class _Best:
         self.value: Optional[Fraction] = None
         self.key: Optional[tuple[Triple, ...]] = None
 
-    def offer(self, p: Palette) -> None:
+    def offer(self, p: Palette, key: Optional[tuple[Triple, ...]] = None) -> None:
+        """Consider p; key, when given, must be p's canonical key."""
         value = self.objective(p)
         if self.value is not None and value < self.value:
             return
-        key = _canon_key(p)
+        if key is None:
+            key = _canon_key(p)
         if self.value is None or value > self.value or key < self.key:
             self.palette = Palette(p.num_colors, frozenset(key))
             self.value = value
@@ -188,7 +190,7 @@ def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[
                 if is_good(cand, star, node_budget=cfg.node_budget) is None:
                     next_level.add(ckey)
                     bad_found += 1
-                    best.offer(cand)
+                    best.offer(cand, ckey)
                 else:
                     seen_good.add(ckey)
         level = next_level

@@ -72,6 +72,16 @@ def test_check_good_and_bad(example_file, bad_file):
     assert bad.stdout == "verdict bad\n"
 
 
+def test_check_star_witness_is_pinned(tmp_path):
+    path = tmp_path / "loop.pal"
+    path.write_text("palette 2\n0 0 0\n")
+    proc = run("check", str(path), "--star", "3")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["verdict good", "ordering 1 2 3 0"]
+    assert lines[2:] == [f"pair {u} {v} color 0" for u in range(4) for v in range(u + 1, 4)]
+
+
 def test_check_json(bad_file):
     doc = json.loads(run("check", bad_file, "--star", "3", "--json").stdout)
     assert doc == {"verdict": "bad"}

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
-                     Palette, aux_digraph, brute_max_arcs, caro_wei_check,
-                     degree_identity_audit, degree_stats, find_transitive_tournament,
-                     has_loop, induced_subdigraph, is_tk_free, iter_loopless_digraphs,
-                     parse_digraph, serialize_digraph, tk_square_check,
-                     tripartite_construction, tripartite_report, turan_max_arcs)
+                     Palette, admissible_pairs, aux_digraph, aux_out_masks,
+                     brute_max_arcs, caro_wei_check, degree_identity_audit,
+                     degree_stats, find_transitive_tournament, has_loop,
+                     induced_subdigraph, is_tk_free, iter_all_triples,
+                     iter_loopless_digraphs, parse_digraph, serialize_digraph,
+                     tk_square_check, tripartite_construction, tripartite_report,
+                     turan_max_arcs)
+from starpal.digraphs import out_masks
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -44,6 +48,30 @@ def test_digraph_validation_and_degrees():
     assert Digraph(0, []).num_arcs == 0
 
 
+@pytest.mark.parametrize("arcs, message", [
+    ([(1.0, 0)], "not an arc"),
+    ([("0", 1)], "not an arc"),
+    (["01"], "not an arc"),
+    ([(0,)], "not an arc"),
+    ([(0, 1, 1)], "not an arc"),
+    ([(0, 2)], "out of range"),
+    ([(-1, 0)], "out of range"),
+    ([(0, 0), (True, 2)], "out of range"),
+    ((a for a in [(0, 1), (2, 0)]), "out of range"),
+])
+def test_digraph_rejects_bad_arcs(arcs, message):
+    with pytest.raises(ValueError, match=message):
+        Digraph(2, arcs)
+
+
+def test_digraph_accepts_bools_and_lists():
+    d = Digraph(2, [[True, False], (1, 0), [0, 0]])
+    assert d == Digraph(2, [(1, 0), (0, 0)])
+    assert d.sorted_arcs() == [(0, 0), (1, 0)]
+    assert all(type(a) is tuple for a in d.arcs)
+    assert Digraph(2, (a for a in [(0, 1)])).sorted_arcs() == [(0, 1)]
+
+
 def test_parse_serialize_digraph():
     d = Digraph(3, [(0, 1), (2, 2)])
     assert parse_digraph(serialize_digraph(d)) == d
@@ -71,6 +99,37 @@ def test_example_aux_digraph_observation():
 def test_aux_digraph_default_policy_is_literal():
     p = Palette(2, [(0, 0, 1)])
     assert aux_digraph(p) == aux_digraph(p, AuxPolicy.LITERAL)
+
+
+def _projection_masks(p, policy):
+    """Aux out-masks straight from the three admissible_pairs projections."""
+    m = p.num_colors
+    block1, block2 = ((2, 3), (1, 2)) if policy is AuxPolicy.LITERAL else ((1, 2), (2, 3))
+    out = [0] * (2 * m)
+    for (a, b) in admissible_pairs(p, *block1):
+        out[a] |= 1 << b
+    for (a, b) in admissible_pairs(p, *block2):
+        out[m + a] |= 1 << (m + b)
+    for (a, b) in admissible_pairs(p, 1, 3):
+        out[a] |= 1 << (m + b)
+        out[m + b] |= 1 << a
+    return out
+
+
+@pytest.mark.parametrize("policy", list(AuxPolicy))
+def test_aux_out_masks_match_digraph_and_projections(policy):
+    two_color = list(iter_all_triples(2))
+    palettes = [Palette(2, [t for i, t in enumerate(two_color) if bits >> i & 1])
+                for bits in range(256)]
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(3, 5)
+        keep = rng.random()
+        palettes.append(Palette(m, [t for t in iter_all_triples(m) if rng.random() < keep]))
+    for p in palettes:
+        masks = aux_out_masks(p, policy)
+        assert masks == out_masks(aux_digraph(p, policy))
+        assert masks == _projection_masks(p, policy)
 
 
 @given(small_palettes)

@@ -30,6 +30,30 @@ def test_constructor_normalizes_and_validates():
         Palette(2, [(0, -1, 0)])
 
 
+@pytest.mark.parametrize("triples, message", [
+    ([(1.0, 0, 0)], "not an ordered triple of ints"),
+    ([("0", 0, 0)], "not an ordered triple of ints"),
+    (["010"], "not an ordered triple of ints"),
+    ([(0, 0)], "not an ordered triple of ints"),
+    ([(0, 0, 0, 0)], "not an ordered triple of ints"),
+    ([(0, 0, 2)], "out of range"),
+    ([(0, -1, 0)], "out of range"),
+    ([(0, 0, 0), (True, 2, 0)], "out of range"),
+    ((t for t in [(0, 0, 0), (0, 0, 2)]), "out of range"),
+])
+def test_constructor_rejects_bad_triples(triples, message):
+    with pytest.raises(ValueError, match=message):
+        Palette(2, triples)
+
+
+def test_constructor_accepts_bools_and_lists():
+    p = Palette(2, [[True, False, 0], (1, 0, 0), [0, 1, 1]])
+    assert p == Palette(2, [(1, 0, 0), (0, 1, 1)])
+    assert p.sorted_triples() == [(0, 1, 1), (1, 0, 0)]
+    assert all(type(t) is tuple for t in p.triples)
+    assert Palette(2, (t for t in [(0, 1, 1)])).sorted_triples() == [(0, 1, 1)]
+
+
 def test_empty_and_full():
     e = Palette.empty(2)
     assert e.num_triples == 0 and e.density == 0

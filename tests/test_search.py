@@ -58,10 +58,33 @@ def test_exhaustive_three_colors_deduped():
     report = search(cfg)
     assert report.best_objective == Fraction(2, 9)
     assert report.exhaustive_certificate
+    assert report.num_candidates_examined == 712
     assert report.num_bad_found == 41
     best = report.best_palette
     assert is_good(best, make_star(3)) is None
     assert brute_force_is_good(best, make_star(3)) is None
+
+
+def test_exhaustive_three_colors_deduped_k5():
+    cfg = SearchConfig(k=5, num_colors=3, objective="density", mode="exhaustive",
+                       dedup=True, allow_large_exhaustive=True)
+    report = search(cfg)
+    assert report.best_objective == Fraction(10, 27)
+    assert report.num_candidates_examined == 9688
+    assert report.num_bad_found == 626
+    assert report.best_palette == Palette(3, [
+        tuple(int(c) for c in w)
+        for w in "010 012 020 021 101 102 121 202 210 212".split()])
+
+
+def test_local_mode_five_colors_pinned():
+    cfg = SearchConfig(k=5, num_colors=5, objective="density", mode="local",
+                       seed=0, iteration_budget=100)
+    report = search(cfg)
+    assert report.best_objective == Fraction(7, 25)
+    assert report.num_candidates_examined == 100
+    assert report.num_bad_found == 36
+    assert is_good(report.best_palette, make_star(5)) is None
 
 
 def test_dedup_reduces_work_without_changing_answer():
