@@ -572,10 +572,6 @@ def claim_check(p: Palette, k: int, *,
     )
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _flag(b: bool) -> str:
     return "true" if b else "false"
 
@@ -584,7 +580,7 @@ def format_audit_text(report: AuditReport) -> str:
     """Human-oriented table rendering of an audit report."""
     lines = []
     lines.append(f"audit k={report.k} colors={report.num_colors} "
-                 f"density={_frac(report.density)} min_degree={_frac(report.min_degree)}")
+                 f"density={report.density!s} min_degree={report.min_degree!s}")
     lines.append(f"premise bad={_flag(report.is_bad)} "
                  f"min_degree_ok={_flag(report.delta_premise_ok)}")
     xs = report.x_counts
@@ -597,13 +593,13 @@ def format_audit_text(report: AuditReport) -> str:
                      f"tkfree_d={_flag(pd.d_tk_free)} tkfree_d1={_flag(pd.d1_tk_free)} "
                      f"tkfree_d2={_flag(pd.d2_tk_free)}")
     for r in report.color_rows:
-        lines.append(f"color {r.color} case={r.case} f1={_frac(r.f1)} f2={_frac(r.f2)} "
-                     f"f3={_frac(r.f3)} s1={_frac(r.s1)} s3={_frac(r.s3)} "
-                     f"e21={_frac(r.e21)} e23={_frac(r.e23)}")
+        lines.append(f"color {r.color} case={r.case} f1={r.f1!s} f2={r.f2!s} "
+                     f"f3={r.f3!s} s1={r.s1!s} s3={r.s3!s} "
+                     f"e21={r.e21!s} e23={r.e23!s}")
     for s in report.steps:
         note = f" note={s.note!r}" if s.note else ""
-        lines.append(f"step {s.step_id} lhs={_frac(s.lhs)} rhs={_frac(s.rhs)} "
-                     f"residual={_frac(s.residual)} holds={_flag(s.holds)} "
+        lines.append(f"step {s.step_id} lhs={s.lhs!s} rhs={s.rhs!s} "
+                     f"residual={s.residual!s} holds={_flag(s.holds)} "
                      f"premise={_flag(s.premise_ok)}{note}")
     lines.append(f"result premised_steps_hold={_flag(report.premised_steps_hold)}")
     return "\n".join(lines) + "\n"
@@ -613,8 +609,8 @@ def format_audit_kv(report: AuditReport) -> str:
     """Machine-oriented rendering: one `key=value ...` line per step."""
     lines = []
     for s in report.steps:
-        lines.append(f"step={s.step_id} lhs={_frac(s.lhs)} rhs={_frac(s.rhs)} "
-                     f"residual={_frac(s.residual)} holds={_flag(s.holds)} "
+        lines.append(f"step={s.step_id} lhs={s.lhs!s} rhs={s.rhs!s} "
+                     f"residual={s.residual!s} holds={_flag(s.holds)} "
                      f"premise_ok={_flag(s.premise_ok)}")
     return "\n".join(lines) + "\n"
 
@@ -624,8 +620,8 @@ def audit_to_jsonable(report: AuditReport) -> dict:
     return {
         "k": report.k,
         "colors": report.num_colors,
-        "density": _frac(report.density),
-        "min_degree": _frac(report.min_degree),
+        "density": str(report.density),
+        "min_degree": str(report.min_degree),
         "is_bad": report.is_bad,
         "min_degree_ok": report.delta_premise_ok,
         "xsets": {
@@ -648,16 +644,16 @@ def audit_to_jsonable(report: AuditReport) -> dict:
         "colors_detail": [
             {
                 "color": r.color, "case": r.case,
-                "f1": _frac(r.f1), "f2": _frac(r.f2), "f3": _frac(r.f3),
+                "f1": str(r.f1), "f2": str(r.f2), "f3": str(r.f3),
             }
             for r in report.color_rows
         ],
         "steps": [
             {
                 "id": s.step_id,
-                "lhs": _frac(s.lhs),
-                "rhs": _frac(s.rhs),
-                "residual": _frac(s.residual),
+                "lhs": str(s.lhs),
+                "rhs": str(s.rhs),
+                "residual": str(s.residual),
                 "holds": s.holds,
                 "premise_ok": s.premise_ok,
             }

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .audit import (audit_chain, audit_to_json, format_audit_kv, format_audit_text,
-                    stars_bounds)
+from .audit import (_flag, audit_chain, audit_to_json, format_audit_kv,
+                    format_audit_text, stars_bounds)
 from .digraphs import (AuxPolicy, Digraph, aux_digraph, brute_max_arcs, caro_wei_check,
                        find_transitive_tournament, iter_loopless_digraphs, is_tk_free,
                        parse_digraph, serialize_digraph, tk_square_check,
@@ -42,10 +42,6 @@ def _fr(x: Fraction, args: argparse.Namespace) -> str:
     if getattr(args, "float", False):
         return f"{x} ({float(x):.10g})"
     return str(x)
-
-
-def _flag(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _emit_json(obj) -> int:

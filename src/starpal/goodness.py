@@ -174,19 +174,39 @@ def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
     """
     if sorted(w.ordering) != list(range(f.num_vertices)):
         raise ValueError(f"ordering is not a permutation of 0..{f.num_vertices - 1}")
-    for pr in f.relevant_pairs():
-        if pr not in w.pair_coloring:
+    col, pairs = w.pair_coloring, f.relevant_pairs()
+    for pr in pairs:
+        if pr not in col:
             raise ValueError(f"pair coloring misses pair {pr}")
-    for pr, c in w.pair_coloring.items():
-        if tuple(sorted(pr)) != tuple(pr):
-            raise ValueError(f"pair key {pr} is not sorted")
-        if not (0 <= c < p.num_colors):
-            raise ValueError(f"color {c} of pair {pr} out of range")
+    # Keys that are exactly the (sorted) relevant pairs and int colors in range
+    # pass the loop below; otherwise it runs and raises the first error.
+    colors = col.values()
+    if not (len(col) == len(pairs) and set(map(type, colors)) <= {int}
+            and (not colors or (min(colors) >= 0 and max(colors) < p.num_colors))):
+        for pr, c in col.items():
+            if tuple(sorted(pr)) != tuple(pr):
+                raise ValueError(f"pair key {pr} is not sorted")
+            if not (0 <= c < p.num_colors):
+                raise ValueError(f"color {c} of pair {pr} out of range")
     rank = {v: i for i, v in enumerate(w.ordering)}
-    for e in f.edges:
-        u, v, x = sorted(e, key=rank.__getitem__)
-        t = (w.color_of(u, v), w.color_of(u, x), w.color_of(v, x))
-        if t not in p.triples:
+    triples = p.triples
+    for a, b, c in f.edges:  # sorted, so (a, b), (a, c), (b, c) are the keys
+        ab, ac, bc = col[a, b], col[a, c], col[b, c]
+        ra, rb, rc = rank[a], rank[b], rank[c]
+        if ra < rb:
+            if rb < rc:
+                t = (ab, ac, bc)  # a b c
+            elif ra < rc:
+                t = (ac, ab, bc)  # a c b
+            else:
+                t = (ac, bc, ab)  # c a b
+        elif ra < rc:
+            t = (ab, bc, ac)  # b a c
+        elif rb < rc:
+            t = (bc, ab, ac)  # b c a
+        else:
+            t = (bc, ac, ab)  # c b a
+        if t not in triples:
             return False
     return True
 

@@ -186,17 +186,45 @@ def canonical_form(p: Palette) -> Palette:
 
     Brute force over all m! permutations; refuses palettes with more than
     MAX_CANONICAL_COLORS colors.  Two palettes are equivalent under color
-    permutation iff their canonical forms are equal.
+    permutation iff their canonical forms are equal.  Triple (a, b, c) sits at
+    bit m^3-1-(a*m^2+b*m+c) of a mask, so for palettes of one size the larger
+    mask is the lexicographically smaller sorted triple list (not across sizes:
+    a proper prefix has the smaller mask), and the largest relabeled mask,
+    decoded, is the canonical form.
     """
     m = p.num_colors
     if m > MAX_CANONICAL_COLORS:
         raise ValueError(f"canonical_form supports at most {MAX_CANONICAL_COLORS} colors, got {m}")
-    best: list[Triple] | None = None
+    return Palette(m, frozenset(_mask_triples(m, max(_relabeled_masks(m, p.triples)))))
+
+
+def _relabeled_masks(m: int, triples: Iterable[Triple]) -> list[int]:
+    """Masks of `triples` under every color relabeling, identity first.
+
+    Masks follow `itertools.permutations` order.  The triples sharing (a, b)
+    form a row whose third colors are relabeled as one m-bit chunk and
+    shifted into place together.
+    """
+    rows: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in triples:
+        rows.setdefault((a, b), []).append(c)
+    masks = []
     for perm in itertools.permutations(range(m)):
-        mapped = sorted((perm[a], perm[b], perm[c]) for (a, b, c) in p.triples)
-        if best is None or mapped < best:
-            best = mapped
-    return Palette(m, frozenset(best or []))
+        low = [1 << (m - 1 - x) for x in perm]
+        high = [m - 1 - x for x in perm]
+        mask = 0
+        for (a, b), cs in rows.items():
+            chunk = 0
+            for c in cs:
+                chunk |= low[c]
+            mask |= chunk << m * (m * high[a] + high[b])
+        masks.append(mask)
+    return masks
+
+
+def _mask_triples(m: int, mask: int) -> list[Triple]:
+    """The triples of an m-color bitmask, sorted lexicographically."""
+    return list(itertools.compress(iter_all_triples(m), map(int, format(mask, f"0{m ** 3}b"))))
 
 
 def parse_palette(text: str) -> Palette:

@@ -13,13 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from typing import Callable, Optional
 
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph,
                        brute_force_is_good, is_good, make_star)
-from .palette import Palette, Triple, canonical_form, compute_stats, iter_all_triples, remove_color
+from .palette import (Palette, Triple, _mask_triples, _relabeled_masks, canonical_form,
+                      compute_stats, iter_all_triples, remove_color)
 
 OBJECTIVES = ("density", "min_degree")
 MODES = ("exhaustive", "local")
@@ -76,12 +78,11 @@ def _objective_fn(name: str) -> Callable[[Palette], Fraction]:
     return lambda p: compute_stats(p).min_degree
 
 
-def _canon_key(p: Palette) -> tuple[Triple, ...]:
-    return tuple(canonical_form(p).sorted_triples())
-
-
 class _Best:
-    """Incumbent tracker; ties break toward the lexicographically least canonical form."""
+    """Incumbent tracker; ties break toward the lexicographically least canonical form.
+
+    Keys are sorted triple tuples, not masks: min_degree ties palettes of different sizes.
+    """
 
     def __init__(self, objective: Callable[[Palette], Fraction]):
         self.objective = objective
@@ -95,7 +96,7 @@ class _Best:
         if self.value is not None and value < self.value:
             return
         if key is None:
-            key = _canon_key(p)
+            key = tuple(canonical_form(p).sorted_triples())
         if self.value is None or value > self.value or key < self.key:
             self.palette = Palette(p.num_colors, frozenset(key))
             self.value = value
@@ -165,36 +166,49 @@ def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[
     bad t-triple palette plus one triple; growing each canonical bad palette
     by every absent triple and canonicalizing reaches every class exactly
     once.  Good extensions are pruned (supersets of good palettes are good).
+    Classes are canonical masks (see `canonical_form`), and a Palette is built
+    only for each class examined.
     """
-    universe = list(iter_all_triples(cfg.num_colors))
-    empty = Palette.empty(cfg.num_colors)
+    m = cfg.num_colors
+    empty = Palette.empty(m)
     examined, bad_found = 1, 0
     if is_good(empty, star, node_budget=cfg.node_budget) is not None:
         return examined, bad_found  # cannot happen for k >= 2; defensive
     bad_found += 1
     best.offer(empty)
-    level = {_canon_key(empty)}
-    seen_good: set[tuple[Triple, ...]] = set()
+    bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
+    level = {0}  # the empty palette's mask
+    seen_good: set[int] = set()
     while level:
-        next_level: set[tuple[Triple, ...]] = set()
-        for key in sorted(level):
-            base = frozenset(key)
-            for t in universe:
-                if t in base:
-                    continue
-                cand = Palette(cfg.num_colors, base | {t})
-                ckey = _canon_key(cand)
+        next_level: set[int] = set()
+        for key in sorted(level, reverse=True):  # one size: ascending triple lists
+            base = _mask_triples(m, key)
+            for t, ckey in _extension_keys(m, base, bits):
                 if ckey in next_level or ckey in seen_good:
                     continue
                 examined += 1
+                cand = Palette(m, frozenset(base + [t]))
                 if is_good(cand, star, node_budget=cfg.node_budget) is None:
                     next_level.add(ckey)
                     bad_found += 1
-                    best.offer(cand, ckey)
+                    best.offer(cand, tuple(_mask_triples(m, ckey)))
                 else:
                     seen_good.add(ckey)
         level = next_level
     return examined, bad_found
+
+
+def _extension_keys(m: int, base: list[Triple],
+                    bits: list[list[int]]) -> list[tuple[Triple, int]]:
+    """Each triple t absent from base, with the canonical mask of base plus t.
+
+    bits[i] holds the i-th triple's masks under every relabeling, as
+    `_relabeled_masks` orders them.  The base's relabeled masks are computed
+    once, so each extension's key is m! integer ORs and a max.
+    """
+    masks = _relabeled_masks(m, base)
+    return [(t, max(map(or_, masks, tbits)))
+            for t, tbits in zip(iter_all_triples(m), bits) if not masks[0] & tbits[0]]
 
 
 def _search_local(cfg: SearchConfig, star: ThreeGraph,

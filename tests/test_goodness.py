@@ -227,3 +227,64 @@ def test_deep_non_star_search_does_not_recurse():
     w = is_good(p, f)
     assert w is not None
     assert verify_witness(p, f, w)
+
+
+def test_witness_shape_error_messages():
+    p = Palette.full(2)
+    s = make_star(2)
+    coloring = {(0, 1): 0, (0, 2): 1, (1, 2): 0}
+    unsorted = GoodnessWitness((0, 1, 2), {**coloring, (1, 0): 0})
+    with pytest.raises(ValueError, match=r"^pair key \(1, 0\) is not sorted$"):
+        verify_witness(p, s, unsorted)
+    too_big = GoodnessWitness((0, 1, 2), {**coloring, (0, 2): 2})
+    with pytest.raises(ValueError, match=r"^color 2 of pair \(0, 2\) out of range$"):
+        verify_witness(p, s, too_big)
+
+
+def _reference_verify(p, f, w):
+    """The plain check: sort each edge by rank and look up its three colors."""
+    rank = {v: i for i, v in enumerate(w.ordering)}
+    for e in f.edges:
+        u, v, x = sorted(e, key=rank.__getitem__)
+        if (w.color_of(u, v), w.color_of(u, x), w.color_of(v, x)) not in p.triples:
+            return False
+    return True
+
+
+def test_verify_witness_matches_reference():
+    rng = random.Random(31)
+    orders_seen = set()
+    verdicts = set()
+    for trial in range(600):
+        kind = trial % 3
+        if kind == 0:
+            f = make_star(rng.randrange(2, 6))
+        elif kind == 1:
+            k = rng.randrange(2, 6)
+            perm = list(range(k + 1))
+            rng.shuffle(perm)
+            f = relabel_vertices(make_star(k), perm)
+        else:
+            n = rng.randrange(3, 7)
+            edges = list(itertools.combinations(range(n), 3))
+            f = ThreeGraph(n, rng.sample(edges, rng.randrange(1, min(6, len(edges)) + 1)))
+        m = rng.randrange(1, 4)
+        ordering = list(range(f.num_vertices))
+        rng.shuffle(ordering)
+        w = GoodnessWitness(tuple(ordering), {pr: rng.randrange(m)
+                                              for pr in f.relevant_pairs()})
+        rank = {v: i for i, v in enumerate(ordering)}
+        # The triples the witness needs, each dropped with probability 1/4,
+        # plus a few random ones, so both verdicts occur.
+        needed = set()
+        for e in f.edges:
+            u, v, x = sorted(e, key=rank.__getitem__)
+            orders_seen.add(tuple(sorted(e).index(y) for y in (u, v, x)))
+            needed.add((w.color_of(u, v), w.color_of(u, x), w.color_of(v, x)))
+        kept = [t for t in sorted(needed) if rng.random() < 0.75]
+        p = Palette(m, kept + rng.sample(list(iter_all_triples(m)), rng.randrange(0, m)))
+        expected = _reference_verify(p, f, w)
+        assert verify_witness(p, f, w) == expected
+        verdicts.add(expected)
+    assert len(orders_seen) == 6
+    assert verdicts == {True, False}

@@ -1,3 +1,5 @@
+import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -192,3 +194,21 @@ def test_parse_rejects_malformed_input(text):
 def test_serialize_is_sorted_with_trailing_newline():
     p = Palette(2, [(1, 1, 0), (0, 0, 1)])
     assert serialize_palette(p) == "palette 2\n0 0 1\n1 1 0\n"
+
+
+def _least_relabeling(p):
+    return min(sorted(permute_colors(p, perm).triples)
+               for perm in itertools.permutations(range(p.num_colors)))
+
+
+def test_canonical_form_matches_permutation_oracle():
+    universe = list(iter_all_triples(2))
+    for bits in range(1 << len(universe)):
+        p = Palette(2, [t for i, t in enumerate(universe) if bits >> i & 1])
+        assert canonical_form(p).sorted_triples() == _least_relabeling(p)
+    rng = random.Random(17)
+    for m in (3, 4):
+        universe = list(iter_all_triples(m))
+        for _ in range(150):
+            p = Palette(m, rng.sample(universe, rng.randrange(len(universe) + 1)))
+            assert canonical_form(p).sorted_triples() == _least_relabeling(p)

@@ -7,6 +7,8 @@ from starpal import (Palette, SearchConfig, brute_force_is_good, canonical_form,
                      is_good, iter_all_triples, make_star, maximal_bad_extensions,
                      minimalize, random_bad_palette, random_maximal_bad_palette,
                      search)
+from starpal.palette import _mask_triples, _relabeled_masks
+from starpal.search import _extension_keys
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -162,3 +164,55 @@ def test_random_bad_palette_deterministic_per_seed():
     a = random_bad_palette(3, 3, random.Random(11))
     b = random_bad_palette(3, 3, random.Random(11))
     assert a == b
+
+
+def _palette(m, words):
+    return Palette(m, [tuple(int(c) for c in w) for w in words.split()])
+
+
+def test_exhaustive_three_colors_deduped_min_degree():
+    cfg = SearchConfig(k=3, num_colors=3, objective="min_degree", mode="exhaustive",
+                       dedup=True, allow_large_exhaustive=True)
+    report = search(cfg)
+    assert report.best_objective == Fraction(1, 9)
+    assert report.num_candidates_examined == 712
+    assert report.num_bad_found == 41
+    # Five triples, fewer than the density optimum's six: min_degree ties
+    # palettes of different sizes, and the least sorted triple list wins.
+    assert report.best_palette == _palette(3, "010 012 101 121 210")
+
+
+def test_exhaustive_two_colors_deduped_counts():
+    report = search(SearchConfig(k=3, num_colors=2, objective="density",
+                                 mode="exhaustive", dedup=True))
+    assert report.best_objective == Fraction(1, 4)
+    assert report.num_candidates_examined == 15
+    assert report.num_bad_found == 3
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(k=3, num_colors=2, objective="density", mode="exhaustive"),
+    SearchConfig(k=3, num_colors=2, objective="min_degree", mode="exhaustive"),
+    SearchConfig(k=3, num_colors=3, objective="density", mode="exhaustive",
+                 dedup=True, allow_large_exhaustive=True),
+    SearchConfig(k=5, num_colors=5, objective="density", mode="local",
+                 seed=0, iteration_budget=100),
+], ids=["plain-density", "plain-min-degree", "dedup-m3", "local-m5"])
+def test_best_palette_is_canonical(cfg):
+    best = search(cfg).best_palette
+    assert best == canonical_form(best)
+
+
+def test_incremental_keys_match_canonical_form():
+    bits = [_relabeled_masks(3, [t]) for t in iter_all_triples(3)]
+    rng = random.Random(3)
+    for k in (3, 4, 5):
+        for _ in range(10):
+            base = random_bad_palette(k, 3, rng)
+            triples = base.sorted_triples()
+            keys = _extension_keys(3, triples, bits)
+            assert [t for t, _ in keys] == [t for t in iter_all_triples(3)
+                                            if t not in base.triples]
+            for t, key in keys:
+                expected = canonical_form(base.with_triple(t)).sorted_triples()
+                assert _mask_triples(3, key) == expected
