@@ -12,13 +12,12 @@ from .audit import (AuditReport, AuditStep, ClaimReport, ColorRow, FValues,
                     f_values, format_audit_kv, format_audit_text,
                     g_inequality_check, minimality_check, stars_bounds,
                     target_density, x_sets)
-from .digraphs import (AuxPolicy, CaroWeiReport, DegreeIdentityReport, DegreeStats,
-                       Digraph, TkSquareReport, TripartiteReport, aux_digraph,
-                       aux_out_masks, brute_max_arcs, caro_wei_check,
-                       degree_identity_audit, degree_stats, find_transitive_tournament,
-                       has_loop, induced_subdigraph, is_tk_free, iter_loopless_digraphs,
-                       parse_digraph, serialize_digraph, tk_square_check,
-                       tripartite_construction, tripartite_report, turan_max_arcs)
+from .digraphs import (AuxPolicy, CaroWeiReport, DegreeStats, Digraph, TkSquareReport,
+                       TripartiteReport, aux_digraph, aux_out_masks, brute_max_arcs,
+                       caro_wei_check, degree_stats, find_transitive_tournament,
+                       has_loop, is_tk_free, iter_loopless_digraphs, parse_digraph,
+                       serialize_digraph, tk_square_check, tripartite_construction,
+                       tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, GoodnessWitness,
                        ThreeGraph, brute_force_is_good, is_good, make_star,
@@ -36,16 +35,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport", "AuditStep", "AuxPolicy", "BudgetExceeded", "CaroWeiReport",
     "ClaimReport", "ColorRow", "DEFAULT_ENUM_CAP", "DEFAULT_NODE_BUDGET",
-    "DegreeIdentityReport", "DegreeStats", "Digraph", "EnumerationCapExceeded",
+    "DegreeStats", "Digraph", "EnumerationCapExceeded",
     "FValues", "FormatError", "GInequalityReport", "GoodnessWitness",
     "MinimalityReport", "MinimalizeResult", "POSITION_PAIRS", "Palette",
     "PaletteStats", "PolicyData", "SearchConfig", "SearchReport", "ThreeGraph",
     "TkSquareReport", "TripartiteReport", "XSetCounts", "admissible_pairs",
     "audit_chain", "audit_to_json", "audit_to_jsonable", "aux_digraph", "aux_out_masks",
     "brute_force_is_good", "brute_max_arcs", "canonical_form", "caro_wei_check",
-    "claim_check", "compute_stats", "degree_identity_audit", "degree_stats",
+    "claim_check", "compute_stats", "degree_stats",
     "f_values", "find_transitive_tournament", "format_audit_kv",
-    "format_audit_text", "g_inequality_check", "has_loop", "induced_subdigraph",
+    "format_audit_text", "g_inequality_check", "has_loop",
     "is_good", "is_tk_free", "iter_all_triples", "iter_loopless_digraphs",
     "make_star", "maximal_bad_extensions", "minimality_check", "minimalize",
     "parse_digraph", "parse_palette", "parse_threegraph", "permute_colors",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraphs import AuxPolicy, aux_digraph, degree_stats, has_loop, induced_subdigraph, is_tk_free
+from .digraphs import AuxPolicy, _degree_stats, _least_loop, _tk_witness, aux_out_masks
 from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star
 from .palette import Palette, PaletteStats, admissible_pairs, compute_stats, remove_color
 
@@ -312,28 +312,31 @@ def audit_chain(p: Palette, k: int, *,
     policy_data = []
     for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION):
         suffix = policy.value
-        dg = aux_digraph(p, policy)
-        d1 = induced_subdigraph(dg, list(range(n)))
-        d2 = induced_subdigraph(dg, list(range(n, 2 * n)))
-        st_d = degree_stats(dg, tau)
-        st_d1 = degree_stats(d1, tau)
-        st_d2 = degree_stats(d2, tau)
+        # D on 2n vertices; its blocks D1 (first n) and D2 (last n) as masks.
+        out = aux_out_masks(p, policy)
+        out1 = [mask & ((1 << n) - 1) for mask in out[:n]]
+        out2 = [mask >> n for mask in out[n:]]
+        st_d = _degree_stats(out, tau)
+        st_d1 = _degree_stats(out1, tau)
+        st_d2 = _degree_stats(out2, tau)
         m_d = st_d.m_values
         m_d1 = st_d1.m_values
         m_d2 = st_d2.m_values
-        tk_d = is_tk_free(dg, k)
-        tk_d1 = is_tk_free(d1, k)
-        tk_d2 = is_tk_free(d2, k)
+        tk_d = _tk_witness(out, k) is None
+        tk_d1 = _tk_witness(out1, k) is None
+        tk_d2 = _tk_witness(out2, k) is None
         policy_data.append(PolicyData(
             policy=policy,
-            loop_vertex=has_loop(dg),
+            loop_vertex=_least_loop(out),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
             m_d=m_d, m_d1=m_d1, m_d2=m_d2,
         ))
 
         # Which degree identities actually back this rule set on this palette.
-        # Two hold by construction per rule set; the other two are
-        # palette-dependent, so they gate the steps that lean on them.
+        # Two hold by construction per rule set (the block ones under LITERAL,
+        # the whole-digraph ones under OBSERVATION); the other two are
+        # palette-dependent, so they gate the steps that lean on them as the
+        # premise_ok flags of slot1_vs_m, slot3_vs_m, e21_vs_m2 and e23_vs_m1.
         ident_slot1 = all(
             st_d.out_degrees[a] == stats.degree(1, 2, a) + stats.degree(1, 3, a)
             for a in range(n))

@@ -38,6 +38,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _rational(text: str) -> Fraction:
+    """Parse a `p/q` option; a zero denominator is a usage error like any bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _fr(x: Fraction, args: argparse.Namespace) -> str:
     if getattr(args, "float", False):
         return f"{x} ({float(x):.10g})"
@@ -162,7 +170,7 @@ def _verify_brown_harary(args) -> tuple[list[str], list[dict], int, int]:
 
 def _verify_digraph_sweep(args) -> tuple[list[str], list[dict], int, int]:
     lines, rows, checked, violations = [], [], 0, 0
-    tau = Fraction(args.tau) if args.tau is not None else None
+    tau = _rational(args.tau) if args.tau is not None else None
     for n in range(1, args.max_n + 1):
         total = free = bad = 0
         for d in iter_loopless_digraphs(n):
@@ -254,7 +262,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    eps = Fraction(args.eps)
+    eps = _rational(args.eps)
     report = tripartite_report(args.n, eps)
     d = tripartite_construction(args.n, eps)
     if args.json:

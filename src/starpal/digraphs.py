@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .errors import EnumerationCapExceeded, FormatError
-from .palette import Palette, _all_in_range
+from .errors import EnumerationCapExceeded
+from .palette import Palette, _all_in_range, _read_records
 
 Arc = tuple[int, int]
 
@@ -55,74 +55,23 @@ class Digraph:
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
 
-    def out_degree(self, v: int) -> int:
-        return sum(1 for (u, w) in self.arcs if u == v)
 
-    def in_degree(self, v: int) -> int:
-        return sum(1 for (u, w) in self.arcs if w == v)
+def out_masks(d: Digraph) -> list[int]:
+    """Out-neighborhoods as bitmasks, loops kept.
 
-
-def out_masks(d: Digraph, *, strip_loops: bool = False) -> list[int]:
-    """Out-neighborhoods as bitmasks; optionally with the diagonal removed."""
+    Every degree, loop and T_k question about a digraph is answered from this
+    list by the private helpers below; the public functions only adapt.
+    """
     out = [0] * d.num_vertices
     for (u, v) in d.arcs:
-        if strip_loops and u == v:
-            continue
         out[u] |= 1 << v
     return out
 
 
-def degrees(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex (out, in) degree vectors; a loop counts once toward each."""
-    outs = [0] * d.num_vertices
-    ins = [0] * d.num_vertices
-    for (u, v) in d.arcs:
-        outs[u] += 1
-        ins[v] += 1
-    return tuple(outs), tuple(ins)
-
-
-def induced_subdigraph(d: Digraph, vertices: list[int]) -> Digraph:
-    """Subdigraph induced on the given vertices, relabeled to 0..len-1 in sorted order."""
-    vs = sorted(set(vertices))
-    if any(not 0 <= v < d.num_vertices for v in vs):
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    arcs = [(index[u], index[v]) for (u, v) in d.arcs if u in index and v in index]
-    return Digraph(len(vs), frozenset(arcs))
-
-
 def parse_digraph(text: str) -> Digraph:
     """Parse the `digraph <n>` header plus `<u> <v>` arc lines."""
-    header: int | None = None
-    arcs: list[Arc] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2 or fields[0] != "digraph":
-                raise FormatError(f"line {lineno}: expected `digraph <n>` header, got {line!r}")
-            try:
-                header = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
-            if header < 0:
-                raise FormatError(f"line {lineno}: vertex count must be nonnegative")
-            continue
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected `<u> <v>`, got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if not (0 <= u < header and 0 <= v < header):
-            raise FormatError(f"line {lineno}: arc ({u},{v}) out of range")
-        arcs.append((u, v))
-    if header is None:
-        raise FormatError("missing `digraph <n>` header")
-    return Digraph(header, frozenset(arcs))
+    n, records = _read_records(text, "digraph", 2)
+    return Digraph(n, frozenset(arc for _, arc in records))
 
 
 def serialize_digraph(d: Digraph) -> str:
@@ -186,19 +135,23 @@ def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
                                 if out[u] >> v & 1))
 
 
+def _least_loop(out: list[int]) -> Optional[int]:
+    """The least vertex on its own out-mask, or None."""
+    return next((v for v, mask in enumerate(out) if mask >> v & 1), None)
+
+
 def has_loop(d: Digraph) -> Optional[int]:
     """The least vertex carrying a loop, or None."""
-    loops = [v for (u, v) in d.arcs if u == v]
-    return min(loops) if loops else None
+    return _least_loop(out_masks(d))
 
 
 def _find_tk(out: list[int], n: int, k: int,
              spend: Optional[Callable[[int], None]] = None) -> Optional[tuple[int, ...]]:
     """Ordered DFS for k distinct vertices with every forward arc present.
 
-    out must have loops stripped.  Vertices are tried in increasing index so
-    the first witness is deterministic.  spend, when given, is called with 1
-    at every search node.
+    Loops in out are ignored: a chosen vertex leaves the candidate set.
+    Vertices are tried in increasing index so the first witness is
+    deterministic.  spend, when given, is called with 1 at every search node.
     """
     if k > n:
         return None
@@ -226,19 +179,24 @@ def _find_tk(out: list[int], n: int, k: int,
     return None
 
 
+def _tk_witness(out: list[int], k: int) -> Optional[tuple[int, ...]]:
+    """`_find_tk` over the whole out-mask list; k must be positive."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return _find_tk(out, len(out), k)
+
+
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """An ordered k-tuple (v_1..v_k) with all arcs v_i -> v_j for i < j, or None.
 
     Backward arcs are permitted and loops are irrelevant: containment only
     asks for the forward arcs.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(out_masks(d, strip_loops=True), d.num_vertices, k)
+    return _tk_witness(out_masks(d), k)
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:
-    return find_transitive_tournament(d, k) is None
+    return _tk_witness(out_masks(d), k) is None
 
 
 def turan_max_arcs(n: int, k: int) -> int:
@@ -318,12 +276,18 @@ class DegreeStats:
         return mv / (1 - mv)
 
 
-def degree_stats(d: Digraph, tau: Fraction) -> DegreeStats:
-    outs, ins = degrees(d)
-    n = d.num_vertices
+def _degree_stats(out: list[int], tau: Fraction) -> DegreeStats:
+    """DegreeStats by popcount of out-masks; a loop counts once toward each side."""
+    n = len(out)
+    outs = tuple(mask.bit_count() for mask in out)
+    ins = tuple(sum(mask >> v & 1 for mask in out) for v in range(n))
     m_values = tuple(Fraction(max(o, i), n) for o, i in zip(outs, ins))
     vprime = frozenset(v for v, mv in enumerate(m_values) if mv >= tau)
     return DegreeStats(n, outs, ins, m_values, tau, vprime)
+
+
+def degree_stats(d: Digraph, tau: Fraction) -> DegreeStats:
+    return _degree_stats(out_masks(d), tau)
 
 
 @dataclass(frozen=True)
@@ -348,8 +312,9 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    stats = degree_stats(d, Fraction(0))
-    tk_free = is_tk_free(d, k)
+    out = out_masks(d)
+    stats = _degree_stats(out, Fraction(0))
+    tk_free = _tk_witness(out, k) is None
     bound = Fraction((k - 2) * d.num_vertices)
     total = Fraction(0)
     finite = True
@@ -395,8 +360,9 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
         raise ValueError(f"k must be at least 4, got {k}")
     if tau is None:
         tau = Fraction(2, k - 1)
-    stats = degree_stats(d, tau)
-    tk_free = is_tk_free(d, k)
+    out = out_masks(d)
+    stats = _degree_stats(out, tau)
+    tk_free = _tk_witness(out, k) is None
     half = Fraction(1, 2)
     total = sum(((stats.m_values[v] - half) ** 2 for v in sorted(stats.vprime)), Fraction(0))
     bound = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2) * d.num_vertices
@@ -470,7 +436,7 @@ def tripartite_report(n: int, eps: Fraction) -> TripartiteReport:
         n=n,
         eps=eps,
         part_sizes=(s, s, n - 2 * s),
-        t4_free=is_tk_free(d, 4),
+        t4_free=report.tk_free,
         t3_witness=find_transitive_tournament(d, 3),
         tau=tau,
         sum_sq=report.sum_sq,
@@ -481,73 +447,3 @@ def tripartite_report(n: int, eps: Fraction) -> TripartiteReport:
         sixteenth=sixteenth,
         exceeds_sixteenth=report.sum_sq > sixteenth,
     )
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One claimed degree identity, evaluated per color."""
-
-    name: str
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-@dataclass(frozen=True)
-class DegreeIdentityReport:
-    """All four claimed identities under both arc rule sets; purely descriptive."""
-
-    num_colors: int
-    checks: tuple[tuple[AuxPolicy, tuple[IdentityCheck, ...]], ...]
-
-    def for_policy(self, policy: AuxPolicy) -> tuple[IdentityCheck, ...]:
-        for pol, checks in self.checks:
-            if pol is policy:
-                return checks
-        raise KeyError(policy)
-
-
-def degree_identity_audit(p: Palette) -> DegreeIdentityReport:
-    """Evaluate the four stated degree identities under both policies.
-
-    Identities, per color a (first-block vertex a, second-block vertex m+a):
-      block1_out:  out-degree of a inside the first block   = d_{2,3}(a)
-      block2_in:   in-degree of m+a inside the second block = d_{2,1}(a)
-      full_out:    out-degree of a in the whole digraph     = d_{1,2}(a) + d_{1,3}(a)
-      full_in:     in-degree of m+a in the whole digraph    = d_{3,1}(a) + d_{3,2}(a)
-    No single policy satisfies all four for every palette; the report records
-    what actually holds and draws no conclusion.
-    """
-    from .palette import compute_stats
-
-    m = p.num_colors
-    stats = compute_stats(p)
-    results = []
-    for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION):
-        d = aux_digraph(p, policy)
-        outs, ins = degrees(d)
-        block1_outs, _ = degrees(induced_subdigraph(d, list(range(m))))
-        _, block2_ins = degrees(induced_subdigraph(d, list(range(m, 2 * m))))
-        checks = (
-            IdentityCheck(
-                "block1_out_vs_d23",
-                block1_outs,
-                tuple(stats.degree(2, 3, a) for a in range(m))),
-            IdentityCheck(
-                "block2_in_vs_d21",
-                block2_ins,
-                tuple(stats.degree(2, 1, a) for a in range(m))),
-            IdentityCheck(
-                "full_out_vs_d12_d13",
-                outs[:m],
-                tuple(stats.degree(1, 2, a) + stats.degree(1, 3, a) for a in range(m))),
-            IdentityCheck(
-                "full_in_vs_d31_d32",
-                ins[m:],
-                tuple(stats.degree(3, 1, a) + stats.degree(3, 2, a) for a in range(m))),
-        )
-        results.append((policy, checks))
-    return DegreeIdentityReport(m, tuple(results))

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .digraphs import AuxPolicy, _find_tk, aux_out_masks
+from .digraphs import AuxPolicy, _find_tk, _least_loop, aux_out_masks
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
-from .palette import Palette
+from .palette import Palette, _read_records
 
 Edge = tuple[int, int, int]
 Pair = tuple[int, int]
@@ -112,34 +112,9 @@ def relabel_vertices(f: ThreeGraph, perm: list[int]) -> ThreeGraph:
 
 def parse_threegraph(text: str) -> ThreeGraph:
     """Parse the `threegraph <n>` header plus `<u> <v> <w>` edge lines."""
-    header: int | None = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2 or fields[0] != "threegraph":
-                raise FormatError(f"line {lineno}: expected `threegraph <n>` header, got {line!r}")
-            try:
-                header = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
-            if header < 0:
-                raise FormatError(f"line {lineno}: vertex count must be nonnegative")
-            continue
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected three vertices, got {line!r}")
-        try:
-            e = tuple(int(f) for f in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        edges.append(e)  # type: ignore[arg-type]
-    if header is None:
-        raise FormatError("missing `threegraph <n>` header")
+    n, records = _read_records(text, "threegraph", 3)
     try:
-        return ThreeGraph(header, frozenset(edges))
+        return ThreeGraph(n, frozenset(e for _, e in records))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -282,7 +257,7 @@ def _star_witness(p: Palette, f: ThreeGraph, apex: int,
     k = len(leaves)
     budget.spend(len(p.triples))
     out = aux_out_masks(p, AuxPolicy.LITERAL)
-    loop = next((v for v, mask in enumerate(out) if mask >> v & 1), None)
+    loop = _least_loop(out)
     if loop is not None:
         verts = [loop] * k
     else:

@@ -227,6 +227,45 @@ def _mask_triples(m: int, mask: int) -> list[Triple]:
     return list(itertools.compress(iter_all_triples(m), map(int, format(mask, f"0{m ** 3}b"))))
 
 
+def _read_records(text: str, word: str,
+                  width: int) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Read a `<word> <n>` header, then records of `width` integers in [0, n).
+
+    The shared reader of the palette, digraph and 3-graph text formats.  Blank
+    lines are ignored and `#` starts a comment that runs to the end of the
+    line.  Returns n and the (line number, integers) records in file order;
+    each malformed line raises FormatError naming its number and text.
+    """
+    n: int | None = None
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 2 or fields[0] != word:
+                raise FormatError(f"line {lineno}: expected `{word} <n>` header, got {line!r}")
+            fields = fields[1:]
+        elif len(fields) != width:
+            raise FormatError(f"line {lineno}: expected {width} integers, got {line!r}")
+        try:
+            ints = tuple(int(f) for f in fields)
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer in {line!r}") from None
+        if n is None:
+            if ints[0] < 0:
+                raise FormatError(f"line {lineno}: negative count in {line!r}")
+            n = ints[0]
+        elif not all(0 <= v < n for v in ints):
+            raise FormatError(f"line {lineno}: value out of range [0, {n}) in {line!r}")
+        else:
+            records.append((lineno, ints))
+    if n is None:
+        raise FormatError(f"missing `{word} <n>` header")
+    return n, records
+
+
 def parse_palette(text: str) -> Palette:
     """Parse the palette text format.
 
@@ -235,40 +274,16 @@ def parse_palette(text: str) -> Palette:
     end of the line.  A duplicate triple is a warning and is collapsed; an
     out-of-range color is an error.
     """
-    header: int | None = None
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2 or fields[0] != "palette":
-                raise FormatError(f"line {lineno}: expected `palette <m>` header, got {line!r}")
-            try:
-                header = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad color count {fields[1]!r}") from None
-            if header < 1:
-                raise FormatError(f"line {lineno}: color count must be positive")
-            continue
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected three colors, got {line!r}")
-        try:
-            t = tuple(int(f) for f in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer color in {line!r}") from None
-        if not all(0 <= c < header for c in t):
-            raise FormatError(f"line {lineno}: color out of range in {t}")
-        if t in seen:
+    m, records = _read_records(text, "palette", 3)
+    triples: set[Triple] = set()
+    for lineno, t in records:
+        if t in triples:
             warnings.warn(f"line {lineno}: duplicate triple {t} collapsed", stacklevel=2)
-            continue
-        seen.add(t)
-        triples.append(t)  # type: ignore[arg-type]
-    if header is None:
-        raise FormatError("missing `palette <m>` header")
-    return Palette(header, frozenset(triples))
+        triples.add(t)  # type: ignore[arg-type]
+    try:
+        return Palette(m, frozenset(triples))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize_palette(p: Palette) -> str:

@@ -278,7 +278,6 @@ def maximal_bad_extensions(p: Palette, k: int, *,
 class MinimalizeResult:
     palette: Palette
     is_minimal: bool
-    stuck: bool
 
 
 def minimalize(p: Palette, k: int, *,
@@ -286,33 +285,23 @@ def minimalize(p: Palette, k: int, *,
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
     Badness is preserved under color removal (any witness for the smaller
-    palette lifts to the larger one), but each removal is re-checked; if a
-    removal candidate somehow broke badness it is skipped and the result is
-    flagged stuck when the palette stays non-minimal.  Raises ValueError when
-    p is not S_k-bad.
+    palette lifts to the larger one); each removal asserts it as a
+    cross-check.  Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
     if is_good(p, star, node_budget=node_budget) is not None:
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
-    stuck = False
     while current.num_colors >= 2:
-        stats_density = current.density
-        advanced = False
-        stuck = False
         for a in range(current.num_colors):
             smaller = remove_color(current, a)
-            if smaller.density < stats_density:
-                continue
-            if is_good(smaller, star, node_budget=node_budget) is None:
+            if smaller.density >= current.density:
+                assert is_good(smaller, star, node_budget=node_budget) is None
                 current = smaller
-                advanced = True
                 break
-            stuck = True
-        if not advanced:
+        else:
             break
-    minimal = minimality_check(current).is_minimal
-    return MinimalizeResult(current, minimal, stuck and not minimal)
+    return MinimalizeResult(current, minimality_check(current).is_minimal)
 
 
 def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,

@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starpal import (AuxPolicy, Palette, audit_chain, audit_to_json,
-                     audit_to_jsonable, claim_check, f_values, format_audit_kv,
-                     format_audit_text, g_inequality_check, minimality_check,
+from starpal import (AuxPolicy, Digraph, Palette, PolicyData, audit_chain, audit_to_json,
+                     audit_to_jsonable, aux_digraph, claim_check, f_values,
+                     find_transitive_tournament, format_audit_kv, format_audit_text,
+                     g_inequality_check, iter_all_triples, minimality_check,
                      stars_bounds, target_density, x_sets)
 from starpal.audit import GEntry
 
@@ -99,6 +101,62 @@ def test_audit_chain_low_degree_premise():
     report = audit_chain(p, 5)
     assert not report.delta_premise_ok
     assert report.premised_steps_hold
+
+
+def _arc_reference(p, policy, k):
+    """PolicyData rebuilt from the arc set of the aux digraph, not its out-masks."""
+    n = p.num_colors
+    arcs = aux_digraph(p, policy).arcs
+    block1 = Digraph(n, [(u, v) for (u, v) in arcs if u < n and v < n])
+    block2 = Digraph(n, [(u - n, v - n) for (u, v) in arcs if u >= n and v >= n])
+
+    def m_values(d):
+        size = d.num_vertices
+        return tuple(Fraction(max(sum(u == v for (u, _) in d.arcs),
+                                  sum(w == v for (_, w) in d.arcs)), size)
+                     for v in range(size))
+
+    def tk_free(d):
+        return find_transitive_tournament(d, k) is None
+
+    whole = Digraph(2 * n, arcs)
+    loops = [u for (u, v) in arcs if u == v]
+    return PolicyData(policy, min(loops) if loops else None,
+                      tk_free(whole), tk_free(block1), tk_free(block2),
+                      m_values(whole), m_values(block1), m_values(block2))
+
+
+def test_policy_data_matches_arc_reference():
+    two = list(iter_all_triples(2))
+    palettes = [Palette(2, [t for i, t in enumerate(two) if bits >> i & 1])
+                for bits in range(256)]
+    rng = random.Random(23)
+    for m in (3, 4):
+        universe = list(iter_all_triples(m))
+        for _ in range(30):
+            keep = rng.random()
+            palettes.append(Palette(m, [t for t in universe if rng.random() < keep]))
+    # Dense palettes with one coordinate held to a few colors, so that one
+    # block can hold a T_k while the other does not.
+    for m in (5, 6):
+        universe = list(iter_all_triples(m))
+        for _ in range(8):
+            pos, held = rng.randrange(3), rng.sample(range(m), rng.randint(1, 2))
+            palettes.append(Palette(m, [t for t in universe
+                                        if t[pos] in held or rng.random() < 0.15]))
+    seen = set()
+    for k in (5, 6, 7):
+        for p in palettes:
+            report = audit_chain(p, k)
+            assert report.policies == tuple(_arc_reference(p, policy, k)
+                                            for policy in AuxPolicy), (k, p)
+            seen.update((pd.loop_vertex is None, pd.d_tk_free, pd.d1_tk_free,
+                         pd.d2_tk_free, pd.d1_tk_free != pd.d2_tk_free)
+                        for pd in report.policies)
+    # Loops, T_k in D, T_k inside each block, and blocks that disagree all
+    # occur, so every field is exercised.
+    for i in range(5):
+        assert {flags[i] for flags in seen} == {True, False}
 
 
 @given(small_palettes)

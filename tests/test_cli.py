@@ -197,6 +197,13 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
     proc = run("nonsense-command")
     assert proc.returncode == 2
+    for argv in (("construct", "tripartite", "--n", "9", "--eps", "1/0"),
+                 ("verify", "--lemma", "tk-square", "--max-n", "2", "--k", "4",
+                  "--tau", "1/0")):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 def test_output_is_hash_seed_independent(bad_file):

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
-                     Palette, admissible_pairs, aux_digraph, aux_out_masks,
-                     brute_max_arcs, caro_wei_check, degree_identity_audit,
-                     degree_stats, find_transitive_tournament, has_loop,
-                     induced_subdigraph, is_tk_free, iter_all_triples,
+                     Palette, admissible_pairs, audit_chain, aux_digraph, aux_out_masks,
+                     brute_max_arcs, caro_wei_check, degree_stats,
+                     find_transitive_tournament, has_loop, is_tk_free, iter_all_triples,
                      iter_loopless_digraphs, parse_digraph, serialize_digraph,
                      tk_square_check, tripartite_construction, tripartite_report,
                      turan_max_arcs)
@@ -39,8 +38,9 @@ def bidirected_complete(n):
 def test_digraph_validation_and_degrees():
     d = Digraph(3, [(0, 1), (1, 1), (2, 0)])
     assert d.num_arcs == 3
-    assert d.out_degree(1) == 1 and d.in_degree(1) == 2
-    assert d.out_degree(0) == 1 and d.in_degree(0) == 1
+    stats = degree_stats(d, Fraction(0))
+    assert stats.out_degrees == (1, 1, 1)
+    assert stats.in_degrees == (1, 2, 0)
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -142,28 +142,27 @@ def test_aux_cross_arcs_are_symmetric(p):
                 assert (v, u) in d.arcs
 
 
+def _identity_premises(p):
+    """The audit's four degree-identity premise flags, per policy."""
+    report = audit_chain(p, 5)
+    return [{name: report.step(f"{name}.{policy.value}").premise_ok
+             for name in ("slot1_vs_m", "slot3_vs_m", "e21_vs_m2", "e23_vs_m1")}
+            for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION)]
+
+
 def test_degree_identities_each_policy_has_its_own():
-    p = Palette(3, [(0, 1, 2)])
-    report = degree_identity_audit(p)
-    lit = {c.name: c for c in report.for_policy(AuxPolicy.LITERAL)}
-    obs = {c.name: c for c in report.for_policy(AuxPolicy.OBSERVATION)}
-    assert lit["block1_out_vs_d23"].holds
-    assert lit["block2_in_vs_d21"].holds
-    assert not lit["full_out_vs_d12_d13"].holds
-    assert lit["full_out_vs_d12_d13"].lhs[0] == 1
-    assert lit["full_out_vs_d12_d13"].rhs[0] == 2
-    assert obs["full_out_vs_d12_d13"].holds
-    assert obs["full_in_vs_d31_d32"].holds
-    assert not obs["block1_out_vs_d23"].holds
+    lit, obs = _identity_premises(Palette(3, [(0, 1, 2)]))
+    assert lit["e23_vs_m1"] and lit["e21_vs_m2"]
+    assert not lit["slot1_vs_m"]
+    assert obs["slot1_vs_m"] and obs["slot3_vs_m"]
+    assert not obs["e23_vs_m1"]
 
 
 @given(small_palettes)
 def test_degree_identities_hold_policy_wide(p):
-    report = degree_identity_audit(p)
-    lit = {c.name: c for c in report.for_policy(AuxPolicy.LITERAL)}
-    obs = {c.name: c for c in report.for_policy(AuxPolicy.OBSERVATION)}
-    assert lit["block1_out_vs_d23"].holds and lit["block2_in_vs_d21"].holds
-    assert obs["full_out_vs_d12_d13"].holds and obs["full_in_vs_d31_d32"].holds
+    lit, obs = _identity_premises(p)
+    assert lit["e23_vs_m1"] and lit["e21_vs_m2"]
+    assert obs["slot1_vs_m"] and obs["slot3_vs_m"]
 
 
 def test_find_transitive_tournament():
@@ -293,13 +292,6 @@ def test_tripartite_rejects_non_integral_parts():
         tripartite_construction(10, Fraction(0))
     with pytest.raises(ValueError):
         tripartite_construction(9, Fraction(1, 2))
-
-
-def test_induced_subdigraph_relabels():
-    d = Digraph(4, [(0, 2), (2, 3), (1, 1)])
-    sub = induced_subdigraph(d, [0, 2, 3])
-    assert sub.num_vertices == 3
-    assert set(sub.sorted_arcs()) == {(0, 1), (1, 2)}
 
 
 @given(small_digraphs)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starpal import (POSITION_PAIRS, FormatError, Palette, admissible_pairs,
-                     canonical_form, compute_stats, iter_all_triples, parse_palette,
-                     permute_colors, remove_color, serialize_palette)
+                     canonical_form, compute_stats, iter_all_triples, parse_digraph,
+                     parse_palette, parse_threegraph, permute_colors, remove_color,
+                     serialize_palette)
 
 palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -174,21 +175,53 @@ def test_parse_warns_on_duplicates():
     assert any("duplicate" in str(w.message) for w in caught)
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "palete 2\n",
-    "palette 0\n",
-    "palette x\n",
-    "palette 2 3\n",
-    "palette 2\n0 0\n",
-    "palette 2\n0 0 1 1\n",
-    "palette 2\n0 0 2\n",
-    "palette 2\n0 0 -1\n",
-    "palette 2\n0 0 a\n",
+# (text, message pattern) per format.  Every malformed line is named with
+# its number and text; the two constructor checks keep their own wording.
+MALFORMED = {
+    parse_palette: [
+        ("", r"^missing `palette <n>` header"),
+        ("palete 2\n", r"^line 1: .*'palete 2'"),
+        ("palette 0\n", r"positive integer, got 0"),
+        ("palette x\n", r"^line 1: .*'palette x'"),
+        ("palette 2 3\n", r"^line 1: .*'palette 2 3'"),
+        ("palette 2\n0 0\n", r"^line 2: .*'0 0'"),
+        ("palette 2\n0 0 1 1\n", r"^line 2: .*'0 0 1 1'"),
+        ("palette 2\n0 0 2\n", r"^line 2: .*'0 0 2'"),
+        ("palette 2\n0 0 -1\n", r"^line 2: .*'0 0 -1'"),
+        ("palette 2\n0 0 a\n", r"^line 2: .*'0 0 a'"),
+    ],
+    parse_digraph: [
+        ("", r"^missing `digraph <n>` header"),
+        ("graph 2\n0 1\n", r"^line 1: .*'graph 2'"),
+        ("digraph -1\n", r"^line 1: .*'digraph -1'"),
+        ("digraph x\n", r"^line 1: .*'digraph x'"),
+        ("digraph 2\n0\n", r"^line 2: .*'0'"),
+        ("digraph 2\n0 1 1\n", r"^line 2: .*'0 1 1'"),
+        ("digraph 2\n0 2\n", r"^line 2: .*'0 2'"),
+        ("digraph 2\n-1 0\n", r"^line 2: .*'-1 0'"),
+        ("# c\ndigraph 2\n\n0 1  # arc\n0 b\n", r"^line 5: .*'0 b'"),
+    ],
+    parse_threegraph: [
+        ("", r"^missing `threegraph <n>` header"),
+        ("threegraph\n", r"^line 1: .*'threegraph'"),
+        ("threegraph -1\n", r"^line 1: .*'threegraph -1'"),
+        ("threegraph 3\n0 1\n", r"^line 2: .*'0 1'"),
+        ("threegraph 3\n0 1 2 0\n", r"^line 2: .*'0 1 2 0'"),
+        ("threegraph 3\n0 1 3\n", r"^line 2: .*'0 1 3'"),
+        ("threegraph 3\n0 1 c\n", r"^line 2: .*'0 1 c'"),
+        ("threegraph 3\n0 1 1\n", r"three distinct vertices: \(0, 1, 1\)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    pytest.param(parse, text, message,
+                 id=text if parse is parse_palette else f"{parse.__name__}:{text}")
+    for parse, cases in MALFORMED.items() for text, message in cases
 ])
-def test_parse_rejects_malformed_input(text):
-    with pytest.raises(FormatError):
-        parse_palette(text)
+def test_parse_rejects_malformed_input(parse, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse(text)
 
 
 def test_serialize_is_sorted_with_trailing_newline():

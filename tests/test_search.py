@@ -137,7 +137,6 @@ def test_minimalize_reference_palette():
     result = minimalize(OPTIMUM, 3)
     assert result.palette == OPTIMUM
     assert result.is_minimal
-    assert not result.stuck
 
 
 def test_minimalize_drops_unused_color():
