@@ -13,7 +13,7 @@ from .audit import (AuditReport, AuditStep, ClaimReport, ColorRow, FValues,
                     g_inequality_check, minimality_check, stars_bounds,
                     target_density, x_sets)
 from .digraphs import (AuxPolicy, CaroWeiReport, DegreeStats, Digraph, TkSquareReport,
-                       TripartiteReport, aux_digraph, aux_out_masks, brute_max_arcs,
+                       TripartiteReport, aux_digraph, brute_max_arcs,
                        caro_wei_check, degree_stats, find_transitive_tournament,
                        has_loop, is_tk_free, iter_loopless_digraphs, parse_digraph,
                        serialize_digraph, tk_square_check, tripartite_construction,
@@ -40,7 +40,7 @@ __all__ = [
     "MinimalityReport", "MinimalizeResult", "POSITION_PAIRS", "Palette",
     "PaletteStats", "PolicyData", "SearchConfig", "SearchReport", "ThreeGraph",
     "TkSquareReport", "TripartiteReport", "XSetCounts", "admissible_pairs",
-    "audit_chain", "audit_to_json", "audit_to_jsonable", "aux_digraph", "aux_out_masks",
+    "audit_chain", "audit_to_json", "audit_to_jsonable", "aux_digraph",
     "brute_force_is_good", "brute_max_arcs", "canonical_form", "caro_wei_check",
     "claim_check", "compute_stats", "degree_stats",
     "f_values", "find_transitive_tournament", "format_audit_kv",

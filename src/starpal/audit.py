@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraphs import AuxPolicy, _degree_stats, _least_loop, _tk_witness, aux_out_masks
+from .digraphs import AuxPolicy, Digraph, aux_digraph, degree_stats, has_loop, is_tk_free
 from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star
 from .palette import Palette, PaletteStats, admissible_pairs, compute_stats, remove_color
 
@@ -312,22 +312,22 @@ def audit_chain(p: Palette, k: int, *,
     policy_data = []
     for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION):
         suffix = policy.value
-        # D on 2n vertices; its blocks D1 (first n) and D2 (last n) as masks.
-        out = aux_out_masks(p, policy)
-        out1 = [mask & ((1 << n) - 1) for mask in out[:n]]
-        out2 = [mask >> n for mask in out[n:]]
-        st_d = _degree_stats(out, tau)
-        st_d1 = _degree_stats(out1, tau)
-        st_d2 = _degree_stats(out2, tau)
+        # D on 2n vertices; its blocks D1 (first n) and D2 (last n).
+        dig = aux_digraph(p, policy)
+        dig1 = Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in dig.out[:n]])
+        dig2 = Digraph.from_masks(n, [mask >> n for mask in dig.out[n:]])
+        st_d = degree_stats(dig, tau)
+        st_d1 = degree_stats(dig1, tau)
+        st_d2 = degree_stats(dig2, tau)
         m_d = st_d.m_values
         m_d1 = st_d1.m_values
         m_d2 = st_d2.m_values
-        tk_d = _tk_witness(out, k) is None
-        tk_d1 = _tk_witness(out1, k) is None
-        tk_d2 = _tk_witness(out2, k) is None
+        tk_d = is_tk_free(dig, k)
+        tk_d1 = is_tk_free(dig1, k)
+        tk_d2 = is_tk_free(dig2, k)
         policy_data.append(PolicyData(
             policy=policy,
-            loop_vertex=_least_loop(out),
+            loop_vertex=has_loop(dig),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
             m_d=m_d, m_d1=m_d1, m_d2=m_d2,
         ))

@@ -16,8 +16,8 @@ from typing import Optional
 
 from .audit import (_flag, audit_chain, audit_to_json, format_audit_kv,
                     format_audit_text, stars_bounds)
-from .digraphs import (AuxPolicy, Digraph, aux_digraph, brute_max_arcs, caro_wei_check,
-                       find_transitive_tournament, iter_loopless_digraphs, is_tk_free,
+from .digraphs import (AuxPolicy, _arc_positions, aux_digraph, brute_max_arcs,
+                       caro_wei_check, find_transitive_tournament, iter_loopless_digraphs,
                        parse_digraph, serialize_digraph, tk_square_check,
                        tripartite_construction, tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# The least k each verify lemma is stated for.
+VERIFY_MIN_K = {"caro-wei": 2, "brown-harary": 3, "tk-square": 4}
 
 
 def _read_text(path: str) -> str:
@@ -175,15 +178,15 @@ def _verify_digraph_sweep(args) -> tuple[list[str], list[dict], int, int]:
         total = free = bad = 0
         for d in iter_loopless_digraphs(n):
             total += 1
-            if not is_tk_free(d, args.k):
+            if args.lemma == "caro-wei":
+                report = caro_wei_check(d, args.k)
+            else:
+                report = tk_square_check(d, args.k, tau)
+            if not report.tk_free:
                 continue
             free += 1
             checked += 1
-            if args.lemma == "caro-wei":
-                ok = caro_wei_check(d, args.k).holds
-            else:
-                ok = tk_square_check(d, args.k, tau).holds
-            if not ok:
+            if not report.holds:
                 bad += 1
                 violations += 1
         lines.append(f"n={n} digraphs={total} tkfree={free} violations={bad}")
@@ -192,11 +195,13 @@ def _verify_digraph_sweep(args) -> tuple[list[str], list[dict], int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    min_k = VERIFY_MIN_K[args.lemma]
+    if args.k < min_k:
+        raise ValueError(f"{args.lemma} needs k >= {min_k}")
+    _arc_positions(args.max_n)  # refuse an over-cap --max-n before the first n
     if args.lemma == "brown-harary":
         lines, rows, checked, violations = _verify_brown_harary(args)
     else:
-        if args.lemma == "tk-square" and args.k < 4:
-            raise ValueError("tk-square needs k >= 4")
         lines, rows, checked, violations = _verify_digraph_sweep(args)
     all_hold = violations == 0
     if args.json:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
 from .palette import Palette, _all_in_range, _read_records
@@ -26,52 +27,69 @@ Arc = tuple[int, int]
 MAX_BRUTE_ARC_POSITIONS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Digraph:
-    """An immutable digraph on vertices 0..n-1; loops allowed, no multi-arcs."""
+    """An immutable digraph on vertices 0..n-1; loops allowed, no multi-arcs.
+
+    Stored as out-masks, loops kept: bit v of out[u] is set exactly when
+    u -> v is an arc.  Every degree, loop and T_k question is answered from
+    them.  `Digraph(n, arcs)` builds from arcs; builders that already hold
+    masks use `Digraph.from_masks`.
+    """
 
     num_vertices: int
-    arcs: frozenset[Arc] = field(default_factory=frozenset)
+    out: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.num_vertices
+    def __init__(self, num_vertices: int, arcs: Iterable[Arc] = ()) -> None:
+        n = num_vertices
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"num_vertices must be a nonnegative integer, got {n!r}")
-        items = list(map(tuple, self.arcs))
-        arcs = frozenset(items)
-        if not _all_in_range(arcs, 2, n):
+        items = list(map(tuple, arcs))
+        if not _all_in_range(items, 2, n):
             # The slow loop accepts int subclasses and names the first bad arc.
             for a in items:
                 if len(a) != 2 or not all(isinstance(v, int) for v in a):
                     raise ValueError(f"not an arc: {a!r}")
                 if not all(0 <= v < n for v in a):
                     raise ValueError(f"arc {a} out of range for {n} vertices")
-        object.__setattr__(self, "arcs", arcs)
+        out = [0] * n
+        for (u, v) in items:
+            out[u] |= 1 << v
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "out", tuple(out))
+
+    @classmethod
+    def from_masks(cls, num_vertices: int, out: Iterable[int]) -> Digraph:
+        """The digraph whose vertex u has out-mask out[u]; each check is one C pass."""
+        n = num_vertices
+        out = tuple(out)
+        if not isinstance(n, int) or len(out) != n:
+            raise ValueError(f"{len(out)} out-masks for {n!r} vertices")
+        if out and not (set(map(type, out)) == {int}
+                        and min(out) >= 0 and max(out) >> n == 0):
+            raise ValueError(f"out-masks {out!r} are not ints in [0, 2^{n})")
+        d = object.__new__(cls)
+        object.__setattr__(d, "num_vertices", n)
+        object.__setattr__(d, "out", out)
+        return d
+
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(self.sorted_arcs())
 
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return sum(mask.bit_count() for mask in self.out)
 
     def sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arcs)
-
-
-def out_masks(d: Digraph) -> list[int]:
-    """Out-neighborhoods as bitmasks, loops kept.
-
-    Every degree, loop and T_k question about a digraph is answered from this
-    list by the private helpers below; the public functions only adapt.
-    """
-    out = [0] * d.num_vertices
-    for (u, v) in d.arcs:
-        out[u] |= 1 << v
-    return out
+        return [(u, v) for u, mask in enumerate(self.out)
+                for v in range(self.num_vertices) if mask >> v & 1]
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the `digraph <n>` header plus `<u> <v>` arc lines."""
     n, records = _read_records(text, "digraph", 2)
-    return Digraph(n, frozenset(arc for _, arc in records))
+    return Digraph(n, (arc for _, arc in records))
 
 
 def serialize_digraph(d: Digraph) -> str:
@@ -97,9 +115,10 @@ class AuxPolicy(enum.Enum):
     OBSERVATION = "observation"
 
 
-def aux_out_masks(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> list[int]:
-    """Out-neighborhood bitmasks of the auxiliary digraph, loops kept.
+def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
+    """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
 
+    Vertex a in the first block is index a; in the second block, index m + a.
     One pass over the triples: a triple (x, y, z) gives the block arcs of its
     (2,3) and (1,2) projections (which block gets which is the policy) and
     both cross arcs of its (1,3) projection.
@@ -120,32 +139,15 @@ def aux_out_masks(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> list[int
             out[m + z] |= 1 << x
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    return out
-
-
-def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
-    """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
-
-    Vertex a in the first block is index a; in the second block, index m + a.
-    Its arcs are those of `aux_out_masks(p, policy)`.
-    """
-    out = aux_out_masks(p, policy)
-    n = len(out)
-    return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
-                                if out[u] >> v & 1))
-
-
-def _least_loop(out: list[int]) -> Optional[int]:
-    """The least vertex on its own out-mask, or None."""
-    return next((v for v, mask in enumerate(out) if mask >> v & 1), None)
+    return Digraph.from_masks(2 * m, out)
 
 
 def has_loop(d: Digraph) -> Optional[int]:
     """The least vertex carrying a loop, or None."""
-    return _least_loop(out_masks(d))
+    return next((v for v, mask in enumerate(d.out) if mask >> v & 1), None)
 
 
-def _find_tk(out: list[int], n: int, k: int,
+def _find_tk(out: Sequence[int], n: int, k: int,
              spend: Optional[Callable[[int], None]] = None) -> Optional[tuple[int, ...]]:
     """Ordered DFS for k distinct vertices with every forward arc present.
 
@@ -179,24 +181,19 @@ def _find_tk(out: list[int], n: int, k: int,
     return None
 
 
-def _tk_witness(out: list[int], k: int) -> Optional[tuple[int, ...]]:
-    """`_find_tk` over the whole out-mask list; k must be positive."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(out, len(out), k)
-
-
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """An ordered k-tuple (v_1..v_k) with all arcs v_i -> v_j for i < j, or None.
 
     Backward arcs are permitted and loops are irrelevant: containment only
     asks for the forward arcs.
     """
-    return _tk_witness(out_masks(d), k)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return _find_tk(d.out, d.num_vertices, k)
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:
-    return _tk_witness(out_masks(d), k) is None
+    return find_transitive_tournament(d, k) is None
 
 
 def turan_max_arcs(n: int, k: int) -> int:
@@ -227,10 +224,7 @@ def brute_max_arcs(n: int, k: int) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    positions = [(u, v) for u in range(n) for v in range(n) if u != v]
-    if len(positions) > MAX_BRUTE_ARC_POSITIONS:
-        raise EnumerationCapExceeded(
-            f"{len(positions)} arc positions exceed cap {MAX_BRUTE_ARC_POSITIONS} (n={n})")
+    positions = _arc_positions(n)
     for count in range(len(positions), -1, -1):
         for combo in itertools.combinations(range(len(positions)), count):
             out = [0] * n
@@ -242,15 +236,27 @@ def brute_max_arcs(n: int, k: int) -> int:
     return 0
 
 
-def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:
-    """All loopless digraphs on n vertices, in arc-subset bitmask order."""
+def _arc_positions(n: int) -> list[Arc]:
+    """The n(n-1) loopless arc positions, u-major; EnumerationCapExceeded over the cap."""
     positions = [(u, v) for u in range(n) for v in range(n) if u != v]
     if len(positions) > MAX_BRUTE_ARC_POSITIONS:
         raise EnumerationCapExceeded(
             f"{len(positions)} arc positions exceed cap {MAX_BRUTE_ARC_POSITIONS} (n={n})")
-    for bits in range(1 << len(positions)):
-        arcs = frozenset(positions[i] for i in range(len(positions)) if (bits >> i) & 1)
-        yield Digraph(n, arcs)
+    return positions
+
+
+def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:
+    """All loopless digraphs on n vertices, in arc-subset bitmask order.
+
+    Bit i of the subset is arc `_arc_positions(n)[i]`, so vertex u owns the
+    n-1 bits from u(n-1) up, and vertex 0 varies fastest.  rows[u] maps each
+    value of those bits to u's out-mask (bit u left clear).
+    """
+    _arc_positions(n)
+    rows = [[(r & ((1 << u) - 1)) | (r >> u << (u + 1)) for r in range(1 << (n - 1))]
+            for u in range(n)]
+    for out in itertools.product(*reversed(rows)):
+        yield Digraph.from_masks(n, out[::-1])
 
 
 @dataclass(frozen=True)
@@ -258,36 +264,30 @@ class DegreeStats:
     """Exact normalized degree data of one digraph.
 
     m_values[v] = max(out_degree, in_degree) / num_vertices; vprime collects
-    the vertices with m_values[v] >= tau.
+    the vertices with m_values[v] >= tau.  Both are computed on access, so a
+    caller that needs only the integer degrees makes no Fraction.
     """
 
     num_vertices: int
     out_degrees: tuple[int, ...]
     in_degrees: tuple[int, ...]
-    m_values: tuple[Fraction, ...]
     tau: Fraction
-    vprime: frozenset[int]
 
-    def m_ratio(self, v: int) -> Optional[Fraction]:
-        """m(v) / (1 - m(v)), or None when m(v) = 1."""
-        mv = self.m_values[v]
-        if mv == 1:
-            return None
-        return mv / (1 - mv)
+    @property
+    def m_values(self) -> tuple[Fraction, ...]:
+        n = self.num_vertices
+        return tuple(Fraction(max(o, i), n) for o, i in zip(self.out_degrees, self.in_degrees))
 
-
-def _degree_stats(out: list[int], tau: Fraction) -> DegreeStats:
-    """DegreeStats by popcount of out-masks; a loop counts once toward each side."""
-    n = len(out)
-    outs = tuple(mask.bit_count() for mask in out)
-    ins = tuple(sum(mask >> v & 1 for mask in out) for v in range(n))
-    m_values = tuple(Fraction(max(o, i), n) for o, i in zip(outs, ins))
-    vprime = frozenset(v for v, mv in enumerate(m_values) if mv >= tau)
-    return DegreeStats(n, outs, ins, m_values, tau, vprime)
+    @property
+    def vprime(self) -> frozenset[int]:
+        return frozenset(v for v, mv in enumerate(self.m_values) if mv >= self.tau)
 
 
 def degree_stats(d: Digraph, tau: Fraction) -> DegreeStats:
-    return _degree_stats(out_masks(d), tau)
+    """DegreeStats by popcount of out-masks; a loop counts once toward each side."""
+    outs = tuple(mask.bit_count() for mask in d.out)
+    ins = tuple(sum(mask >> v & 1 for mask in d.out) for v in range(d.num_vertices))
+    return DegreeStats(d.num_vertices, outs, ins, tau)
 
 
 @dataclass(frozen=True)
@@ -312,21 +312,17 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    out = out_masks(d)
-    stats = _degree_stats(out, Fraction(0))
-    tk_free = _tk_witness(out, k) is None
-    bound = Fraction((k - 2) * d.num_vertices)
-    total = Fraction(0)
-    finite = True
-    for v in range(d.num_vertices):
-        ratio = stats.m_ratio(v)
-        if ratio is None:
-            finite = False
-            break
-        total += ratio
-    if not finite:
-        return CaroWeiReport(d.num_vertices, k, tk_free, False, None, bound, False)
-    return CaroWeiReport(d.num_vertices, k, tk_free, True, total, bound, total <= bound)
+    n = d.num_vertices
+    stats = degree_stats(d, Fraction(0))
+    tk_free = is_tk_free(d, k)
+    bound = Fraction((k - 2) * n)
+    # m/(1-m) = x/(n-x) with x = max(d+(v), d-(v)), over one common denominator.
+    xs = [max(o, i) for o, i in zip(stats.out_degrees, stats.in_degrees)]
+    if n in xs:
+        return CaroWeiReport(n, k, tk_free, False, None, bound, False)
+    den = math.lcm(*(n - x for x in xs))
+    total = Fraction(sum(x * (den // (n - x)) for x in xs), den)
+    return CaroWeiReport(n, k, tk_free, True, total, bound, total <= bound)
 
 
 @dataclass(frozen=True)
@@ -360,14 +356,15 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
         raise ValueError(f"k must be at least 4, got {k}")
     if tau is None:
         tau = Fraction(2, k - 1)
-    out = out_masks(d)
-    stats = _degree_stats(out, tau)
-    tk_free = _tk_witness(out, k) is None
-    half = Fraction(1, 2)
-    total = sum(((stats.m_values[v] - half) ** 2 for v in sorted(stats.vprime)), Fraction(0))
-    bound = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2) * d.num_vertices
-    return TkSquareReport(d.num_vertices, k, tau, tk_free, stats.vprime,
-                          total, bound, total <= bound)
+    n = d.num_vertices
+    stats = degree_stats(d, tau)
+    tk_free = is_tk_free(d, k)
+    # (m - 1/2)^2 = (2x - n)^2 / (4n^2) with x = max(d+(v), d-(v)); n = 0 has no V'.
+    vprime = stats.vprime
+    total = Fraction(sum((2 * max(stats.out_degrees[v], stats.in_degrees[v]) - n) ** 2
+                         for v in vprime), 4 * n * n or 1)
+    bound = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2) * n
+    return TkSquareReport(n, k, tau, tk_free, vprime, total, bound, total <= bound)
 
 
 def tripartite_construction(n: int, eps: Fraction) -> Digraph:
@@ -385,14 +382,11 @@ def tripartite_construction(n: int, eps: Fraction) -> Digraph:
     s = int(size)
     if 2 * s > n:
         raise ValueError(f"parts of size {s} do not fit into {n} vertices")
-    part = [0] * n
-    for v in range(s, 2 * s):
-        part[v] = 1
-    for v in range(2 * s, n):
-        part[v] = 2
-    arcs = [(u, v) for u in range(n) for v in range(n)
-            if u != v and part[u] != part[v]]
-    return Digraph(n, frozenset(arcs))
+    full = (1 << n) - 1
+    out: list[int] = []
+    for lo, hi in ((0, s), (s, 2 * s), (2 * s, n)):
+        out.extend([full ^ ((1 << hi) - (1 << lo))] * (hi - lo))
+    return Digraph.from_masks(n, out)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ their apex-pair colors, two leaves after it need (1,2), and a straddling pair
 needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
 bidirected, so any T_k can be reordered with its block-1 vertices first; a
 loop lets every leaf take its color on one side of the apex.  The decision
-runs on the digraph's out-neighborhood bitmasks (`aux_out_masks`), built in
-one pass over the triples; no `Digraph` object is made.  Any other 3-graph
+runs on the digraph's out-neighborhood bitmasks (`Digraph.out`), which
+`aux_digraph` builds in one pass over the triples.  Any other 3-graph
 goes to a sweep over all orderings with a backtracking pair-coloring search.
 `brute_force_is_good`, a cap-guarded full enumeration, is the oracle against
 both.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .digraphs import AuxPolicy, _find_tk, _least_loop, aux_out_masks
+from .digraphs import AuxPolicy, _find_tk, aux_digraph, has_loop
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .palette import Palette, _read_records
 
@@ -209,10 +209,10 @@ def is_good(p: Palette, f: ThreeGraph, *,
 
     A star goes to the auxiliary-digraph decision (`_star_witness`): good
     exactly when `aux_digraph(p, AuxPolicy.LITERAL)` has a loop or a T_k,
-    read from its out-masks (`aux_out_masks`), with the witness built from
-    that loop or T_k.  Any other 3-graph goes to a sweep over all vertex
-    orderings, each with a backtracking search for a pair coloring that
-    prunes with per-pair candidate sets.
+    read from its out-masks, with the witness built from that loop or T_k.
+    Any other 3-graph goes to a sweep over all vertex orderings, each with a
+    backtracking search for a pair coloring that prunes with per-pair
+    candidate sets.
 
     node_budget bounds the elementary checks: on the star route |P| for the
     projection scan plus one per T_k search node, on the sweep |P| per
@@ -244,24 +244,23 @@ def _star_witness(p: Palette, f: ThreeGraph, apex: int,
                   budget: _Budget) -> Optional[GoodnessWitness]:
     """Witness for the star f from a loop or T_k of the aux digraph, or None.
 
-    Works on the out-masks of `aux_out_masks(p, AuxPolicy.LITERAL)`: the loop
-    is the least vertex on its own out-mask, and a loopless mask list goes
-    straight to the T_k search.  Leaf i takes aux vertex verts[i], block-1
-    vertices first: the leaves on block-1 vertices precede the apex, the rest
-    follow it, and each leaf's apex-pair color is its vertex mod m.  Each
-    leaf-leaf color is the least color completing a triple that realises the
-    pair's projection.
+    Works on `aux_digraph(p, AuxPolicy.LITERAL)`: the loop is `has_loop`'s,
+    and a loopless digraph's out-masks go straight to the T_k search.  Leaf i
+    takes aux vertex verts[i], block-1 vertices first: the leaves on block-1
+    vertices precede the apex, the rest follow it, and each leaf's apex-pair
+    color is its vertex mod m.  Each leaf-leaf color is the least color
+    completing a triple that realises the pair's projection.
     """
     m = p.num_colors
     leaves = [v for v in range(f.num_vertices) if v != apex]
     k = len(leaves)
     budget.spend(len(p.triples))
-    out = aux_out_masks(p, AuxPolicy.LITERAL)
-    loop = _least_loop(out)
+    d = aux_digraph(p, AuxPolicy.LITERAL)
+    loop = has_loop(d)
     if loop is not None:
         verts = [loop] * k
     else:
-        tk = _find_tk(out, 2 * m, k, budget.spend)
+        tk = _find_tk(d.out, 2 * m, k, budget.spend)
         if tk is None:
             return None
         verts = sorted(tk, key=lambda v: v >= m)

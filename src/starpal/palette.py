@@ -11,7 +11,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import FormatError
 
@@ -76,7 +76,7 @@ class Palette:
         return Palette(self.num_colors, self.triples - {tuple(t)})
 
 
-def _all_in_range(tuples: frozenset[tuple], size: int, bound: int) -> bool:
+def _all_in_range(tuples: Collection[tuple], size: int, bound: int) -> bool:
     """Whether every tuple has `size` entries of exact type int in [0, bound).
 
     Each test is one pass in C, so constructors can validate cheaply; a False

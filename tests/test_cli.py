@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -199,11 +200,26 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
     for argv in (("construct", "tripartite", "--n", "9", "--eps", "1/0"),
                  ("verify", "--lemma", "tk-square", "--max-n", "2", "--k", "4",
-                  "--tau", "1/0")):
+                  "--tau", "1/0"),
+                 ("verify", "--lemma", "caro-wei", "--max-n", "2", "--k", "1"),
+                 ("verify", "--lemma", "caro-wei", "--max-n", "0", "--k", "1"),
+                 ("verify", "--lemma", "brown-harary", "--max-n", "1", "--k", "2"),
+                 ("verify", "--lemma", "tk-square", "--max-n", "1", "--k", "3")):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+def test_verify_refuses_over_cap_max_n_before_sweeping():
+    # Sweeping n <= 5 first took about 30 s for caro-wei.
+    for lemma, k in (("caro-wei", "3"), ("tk-square", "4"), ("brown-harary", "3")):
+        start = time.perf_counter()
+        proc = run("verify", "--lemma", lemma, "--max-n", "6", "--k", k)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 30 arc positions exceed cap 20 (n=6)\n"
 
 
 def test_output_is_hash_seed_independent(bad_file):

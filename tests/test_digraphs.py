@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
-                     Palette, admissible_pairs, audit_chain, aux_digraph, aux_out_masks,
+                     Palette, admissible_pairs, audit_chain, aux_digraph,
                      brute_max_arcs, caro_wei_check, degree_stats,
                      find_transitive_tournament, has_loop, is_tk_free, iter_all_triples,
                      iter_loopless_digraphs, parse_digraph, serialize_digraph,
                      tk_square_check, tripartite_construction, tripartite_report,
                      turan_max_arcs)
-from starpal.digraphs import out_masks
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -72,6 +71,36 @@ def test_digraph_accepts_bools_and_lists():
     assert Digraph(2, (a for a in [(0, 1)])).sorted_arcs() == [(0, 1)]
 
 
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_arc_and_mask_constructors_agree(case):
+    n, arcs = case
+    d = Digraph(n, arcs)
+    assert d.arcs == frozenset(arcs)
+    assert d.num_arcs == len(set(arcs))
+    assert d.sorted_arcs() == sorted(set(arcs))
+    masks = [sum({1 << v for (u, v) in arcs if u == w}) for w in range(n)]
+    e = Digraph.from_masks(n, masks)
+    assert e == d and hash(e) == hash(d)
+    assert e.out == d.out == tuple(masks)
+
+
+@pytest.mark.parametrize("n, masks, message", [
+    (2, [0b100, 0], "not ints in"),
+    (2, [0, -1], "not ints in"),
+    (2, [1.0, 0], "not ints in"),
+    (2, ["1", 0], "not ints in"),
+    (2, [True, 0], "not ints in"),
+    (2, [0], "1 out-masks for 2 vertices"),
+    (1, [0, 0], "2 out-masks for 1 vertices"),
+    (-1, [], "0 out-masks for -1 vertices"),
+    (2.0, [0, 0], "2 out-masks for 2.0 vertices"),
+])
+def test_from_masks_rejects_bad_masks(n, masks, message):
+    with pytest.raises(ValueError, match=message):
+        Digraph.from_masks(n, masks)
+
+
 def test_parse_serialize_digraph():
     d = Digraph(3, [(0, 1), (2, 2)])
     assert parse_digraph(serialize_digraph(d)) == d
@@ -117,7 +146,7 @@ def _projection_masks(p, policy):
 
 
 @pytest.mark.parametrize("policy", list(AuxPolicy))
-def test_aux_out_masks_match_digraph_and_projections(policy):
+def test_aux_digraph_masks_match_projections(policy):
     two_color = list(iter_all_triples(2))
     palettes = [Palette(2, [t for i, t in enumerate(two_color) if bits >> i & 1])
                 for bits in range(256)]
@@ -127,9 +156,7 @@ def test_aux_out_masks_match_digraph_and_projections(policy):
         keep = rng.random()
         palettes.append(Palette(m, [t for t in iter_all_triples(m) if rng.random() < keep]))
     for p in palettes:
-        masks = aux_out_masks(p, policy)
-        assert masks == out_masks(aux_digraph(p, policy))
-        assert masks == _projection_masks(p, policy)
+        assert aux_digraph(p, policy).out == tuple(_projection_masks(p, policy))
 
 
 @given(small_palettes)
@@ -175,6 +202,8 @@ def test_find_transitive_tournament():
     assert find_transitive_tournament(cycle, 3) is None
     assert find_transitive_tournament(cycle, 2) == (0, 1)
     assert find_transitive_tournament(cycle, 1) == (0,)
+    with pytest.raises(ValueError, match="k must be positive"):
+        find_transitive_tournament(cycle, 0)
 
 
 def test_loops_do_not_create_tournaments():
@@ -204,9 +233,14 @@ def test_brute_max_arcs_small():
 
 
 def test_iter_loopless_digraphs_counts():
-    assert sum(1 for _ in iter_loopless_digraphs(1)) == 1
-    assert sum(1 for _ in iter_loopless_digraphs(2)) == 4
-    assert all(has_loop(d) is None for d in iter_loopless_digraphs(2))
+    # Reference order: bit i of the subset counter picks the i-th u-major arc.
+    for n in range(4):
+        positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+        reference = [frozenset(a for i, a in enumerate(positions) if bits >> i & 1)
+                     for bits in range(1 << len(positions))]
+        assert [d.arcs for d in iter_loopless_digraphs(n)] == reference
+    assert sum(1 for _ in iter_loopless_digraphs(4)) == 4096
+    assert all(has_loop(d) is None for d in iter_loopless_digraphs(3))
 
 
 def test_degree_stats_counts_loops_both_ways():
@@ -215,8 +249,6 @@ def test_degree_stats_counts_loops_both_ways():
     assert stats.out_degrees == (2, 0)
     assert stats.in_degrees == (1, 1)
     assert stats.m_values == (Fraction(1), Fraction(1, 2))
-    assert stats.m_ratio(0) is None
-    assert stats.m_ratio(1) == 1
     assert stats.vprime == {0, 1}
 
 
