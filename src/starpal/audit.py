@@ -24,9 +24,6 @@ from .digraphs import AuxPolicy, Digraph, aux_digraph, degree_stats, has_loop, i
 from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star
 from .palette import Palette, PaletteStats, admissible_pairs, compute_stats, remove_color
 
-HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
-
 
 def target_density(k: int) -> Fraction:
     """The proved density ceiling (k^2 - 5k + 7) / (k - 1)^2 for S_k-bad palettes."""
@@ -65,52 +62,51 @@ def x_sets(p: Palette) -> XSetCounts:
     the enumeration and a closed form is an internal error (RuntimeError),
     never a report entry.
     """
+    return _x_sets(p, compute_stats(p))
+
+
+def _x_sets(p: Palette, stats: PaletteStats) -> XSetCounts:
+    """x_sets, checked against the co-degrees of stats = compute_stats(p)."""
     m = p.num_colors
     adm12 = admissible_pairs(p, 1, 2)
     adm13 = admissible_pairs(p, 1, 3)
     adm23 = admissible_pairs(p, 2, 3)
-    counts = {"x1": 0, "x2": 0, "x3": 0, "x12": 0, "x13": 0, "x23": 0, "union": 0}
+    x1 = x2 = x3 = x12 = x13 = x23 = union = 0
     for a in range(m):
         for b in range(m):
             for c in range(m):
                 in1 = (b, c) not in adm23
                 in2 = (a, c) not in adm13
                 in3 = (a, b) not in adm12
-                counts["x1"] += in1
-                counts["x2"] += in2
-                counts["x3"] += in3
-                counts["x12"] += in1 and in2
-                counts["x13"] += in1 and in3
-                counts["x23"] += in2 and in3
-                counts["union"] += in1 or in2 or in3
-    stats = compute_stats(p)
+                x1 += in1
+                x2 += in2
+                x3 += in3
+                x12 += in1 and in2
+                x13 += in1 and in3
+                x23 += in2 and in3
+                union += in1 or in2 or in3
+    counts = XSetCounts(x1, x2, x3, x12, x13, x23, union)
+    # Co-degrees m - d_{i,j}, in the POSITION_PAIRS order of adm_degree.
+    c12, c13, c21, c23, c31, c32 = ([m - d for d in row] for row in stats.adm_degree)
 
-    def co(i: int, j: int, a: int) -> int:
-        return stats.co_degree(i, j, a)
+    def dot(u: list[int], v: list[int]) -> int:
+        return sum(x * y for x, y in zip(u, v))
 
+    # Each single set has a closed form and a mirrored one; each meet has one.
     closed = {
-        "x1": m * sum(co(2, 3, a) for a in range(m)),
-        "x2": m * sum(co(1, 3, a) for a in range(m)),
-        "x3": m * sum(co(1, 2, a) for a in range(m)),
-        "x12": sum(co(3, 1, a) * co(3, 2, a) for a in range(m)),
-        "x13": sum(co(2, 1, a) * co(2, 3, a) for a in range(m)),
-        "x23": sum(co(1, 2, a) * co(1, 3, a) for a in range(m)),
+        "x1": (m * sum(c23), m * sum(c32)),
+        "x2": (m * sum(c13), m * sum(c31)),
+        "x3": (m * sum(c12), m * sum(c21)),
+        "x12": (dot(c31, c32),),
+        "x13": (dot(c21, c23),),
+        "x23": (dot(c12, c13),),
     }
-    mirror = {
-        "x1": m * sum(co(3, 2, a) for a in range(m)),
-        "x2": m * sum(co(3, 1, a) for a in range(m)),
-        "x3": m * sum(co(2, 1, a) for a in range(m)),
-    }
-    for key, value in closed.items():
-        if counts[key] != value:
-            raise RuntimeError(
-                f"internal error: enumerated |{key}| = {counts[key]} but closed form gives {value}")
-    for key, value in mirror.items():
-        if counts[key] != value:
-            raise RuntimeError(
-                f"internal error: enumerated |{key}| = {counts[key]} but mirrored closed form gives {value}")
-    return XSetCounts(counts["x1"], counts["x2"], counts["x3"],
-                      counts["x12"], counts["x13"], counts["x23"], counts["union"])
+    for key, forms in closed.items():
+        for form, value in zip(("closed form", "mirrored closed form"), forms):
+            if getattr(counts, key) != value:
+                raise RuntimeError(f"internal error: enumerated |{key}| = "
+                                   f"{getattr(counts, key)} but {form} gives {value}")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -126,19 +122,20 @@ class FValues:
 
 
 def f_values(p: Palette) -> FValues:
-    stats = compute_stats(p)
+    den = 4 * p.num_colors ** 2
+    return FValues(*(tuple(Fraction(v, den) for v in f)
+                     for f in _f_numerators(compute_stats(p))))
 
-    def term(i: int, j1: int, j2: int, a: int) -> Fraction:
-        x = stats.fraction(i, j1, a)
-        y = stats.fraction(i, j2, a)
-        return x * y - (x + y) / 2
 
-    m = p.num_colors
-    return FValues(
-        f1=tuple(term(1, 2, 3, a) for a in range(m)),
-        f2=tuple(term(2, 1, 3, a) for a in range(m)),
-        f3=tuple(term(3, 1, 2, a) for a in range(m)),
-    )
+def _f_numerators(stats: PaletteStats) -> tuple[tuple[int, ...], ...]:
+    """(f1, f2, f3), each per color as a numerator over 4 m^2.
+
+    With e = d/m, e e' - (e + e')/2 = (4 d d' - 2m (d + d')) / (4 m^2).
+    """
+    m = stats.num_colors
+    d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
+    return tuple(tuple(4 * x * y - 2 * m * (x + y) for x, y in zip(u, v))
+                 for u, v in ((d12, d13), (d21, d23), (d31, d32)))
 
 
 @dataclass(frozen=True)
@@ -214,15 +211,16 @@ class AuditReport:
         raise KeyError(step_id)
 
 
-def _agg(step_id: str, items: list[tuple[Fraction, Fraction]], *,
-         premise_ok: bool = True, note: str = "") -> AuditStep:
-    """Fold per-color (lhs, rhs) pairs into one step keeping the worst pair."""
-    if not items:
-        return AuditStep(step_id, Fraction(0), Fraction(0), True, premise_ok,
-                         note or "vacuous")
-    lhs, rhs = min(items, key=lambda t: t[1] - t[0])
-    holds = all(l <= r for (l, r) in items)
-    return AuditStep(step_id, lhs, rhs, holds, premise_ok, note)
+class _Fractions(dict):
+    """Fraction(num, den) keyed by (num, den), each built on first lookup.
+
+    An audit reports about a hundred rationals but only a dozen or two
+    distinct ones, so one cache per audit builds each of them once.
+    """
+
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        value = self[key] = Fraction(*key)
+        return value
 
 
 def audit_chain(p: Palette, k: int, *,
@@ -232,81 +230,86 @@ def audit_chain(p: Palette, k: int, *,
     Every step is evaluated even when its premises fail; failed premises only
     mark the step's premise_ok flag.  Policy-dependent steps carry a
     `.literal` / `.observation` suffix and are computed under both rule sets.
+
+    The chain is evaluated in integers.  A palette degree d gives e = d/n
+    and aux-digraph degrees give m = x/(2n) on D and m = y/n on a block,
+    so each per-color quantity is an integer over q = 4n^2 and each
+    step compares two integers over one positive denominator.  Fractions are
+    built only for the reported fields.
     """
     if k < 5:
         raise ValueError(f"the audited chain needs k >= 5, got {k}")
     n = p.num_colors
     stats = compute_stats(p)
-    d = stats.density
-    delta = stats.min_degree
-    delta_ok = delta >= QUARTER
+    t = stats.num_triples
+    delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
     is_bad = is_good(p, make_star(k), node_budget=node_budget) is None
-    xs = x_sets(p)
-    fv = f_values(p)
+    xs = _x_sets(p, stats)
+    f1, f2, f3 = _f_numerators(stats)
+    d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
     tau = Fraction(2, k - 1)
-    lemma_coeff = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2)
+    fr = _Fractions()
 
-    e = stats.fraction
-    rows = []
-    for a in range(n):
-        e21, e23 = e(2, 1, a), e(2, 3, a)
-        rows.append(ColorRow(
-            color=a,
-            f1=fv.f1[a], f2=fv.f2[a], f3=fv.f3[a],
-            case=1 if min(e21, e23) >= HALF else 2,
-            s1=(e(1, 2, a) + e(1, 3, a)) / 2,
-            s3=(e(3, 1, a) + e(3, 2, a)) / 2,
-            e21=e21, e23=e23,
-            product=e21 * e23,
-        ))
-    cprime = [r for r in rows if r.case == 1]
-    cdouble = [r for r in rows if r.case == 2]
+    def agg(step_id: str, items: list[tuple[int, int]], den: int, *,
+            premise_ok: bool = True, note: str = "") -> AuditStep:
+        """One step from (lhs, rhs) numerators over den > 0: the first pair of
+        least residual rhs - lhs is reported, and all pairs hold iff it does."""
+        if not items:
+            return AuditStep(step_id, fr[0, 1], fr[0, 1], True, premise_ok, note or "vacuous")
+        lhs, rhs = min(items, key=lambda pair: pair[1] - pair[0])
+        return AuditStep(step_id, fr[lhs, den], fr[rhs, den], lhs <= rhs, premise_ok, note)
 
+    q = 4 * n * n
     cube = n ** 3
-    sum_x = xs.x1 + xs.x2 + xs.x3
-    sum_pairs = xs.x12 + xs.x13 + xs.x23
+    colors = range(n)
+    # Slot sums: s1 = sum1/(2n), s3 = sum3/(2n), and (s - 1/2)^2 - 1/4 = s(s - 1).
+    sum1 = tuple(x + y for x, y in zip(d12, d13))
+    sum3 = tuple(x + y for x, y in zip(d31, d32))
+    cases = [1 if 2 * min(x, y) >= n else 2 for x, y in zip(d21, d23)]
+    cprime = [a for a in colors if cases[a] == 1]
+    cdouble = [a for a in colors if cases[a] == 2]
+
+    rows = tuple(ColorRow(
+        color=a,
+        f1=fr[f1[a], q], f2=fr[f2[a], q], f3=fr[f3[a], q],
+        case=cases[a],
+        s1=fr[sum1[a], 2 * n], s3=fr[sum3[a], 2 * n],
+        e21=fr[d21[a], n], e23=fr[d23[a], n],
+        product=fr[d21[a] * d23[a], n * n],
+    ) for a in colors)
+
     exclusion_bound = cube - xs.union
-    ie_bound = cube - sum_x + sum_pairs
+    ie_bound = cube - (xs.x1 + xs.x2 + xs.x3) + (xs.x12 + xs.x13 + xs.x23)
+    # 1 + (f1 + f2 + f3 summed over the colors) / n, over 4n^3.
+    f_bound = 4 * cube + sum(f1) + sum(f2) + sum(f3)
+    steps = [
+        agg("exclusion_bound", [(t, exclusion_bound)], 1,
+            note="admissible triples avoid all three exclusion sets"),
+        agg("bonferroni", [(exclusion_bound, ie_bound)], 1,
+            note="union lower-bounded by singles minus pairs"),
+        AuditStep("product_identity", fr[ie_bound, cube], fr[f_bound, 4 * cube],
+                  4 * ie_bound == f_bound, True,
+                  "equality: inclusion-exclusion bound rewritten through f1+f2+f3"),
+        agg("density_vs_f_sum", [(4 * t, f_bound)], 4 * cube),
+        agg("f1_square", [(f1[a], sum1[a] * (sum1[a] - 2 * n)) for a in colors], q),
+        agg("f3_square", [(f3[a], sum3[a] * (sum3[a] - 2 * n)) for a in colors], q),
+        agg("mean_premise", [(n, s) for s in sum1 + sum3], 2 * n,
+            premise_ok=delta_ok,
+            note="slot means at least 1/2; expected from min degree >= 1/4"),
+        agg("f2_case1",
+            [(f2[a], 2 * (d21[a] * (d21[a] - n) + d23[a] * (d23[a] - n))) for a in cprime], q),
+    ]
+    case2_premise = all(4 * d21[a] * d23[a] >= n * n for a in cdouble)
+    steps.append(agg("f2_case2", [(f2[a], -n * n) for a in cdouble], q,
+                     premise_ok=case2_premise and delta_ok,
+                     note="needs e21*e23 >= min degree >= 1/4"))
 
-    steps: list[AuditStep] = []
-    steps.append(AuditStep(
-        "exclusion_bound", Fraction(p.num_triples), Fraction(exclusion_bound),
-        p.num_triples <= exclusion_bound, True,
-        "admissible triples avoid all three exclusion sets"))
-    steps.append(AuditStep(
-        "bonferroni", Fraction(exclusion_bound), Fraction(ie_bound),
-        exclusion_bound <= ie_bound, True,
-        "union lower-bounded by singles minus pairs"))
-    f_bound = 1 + Fraction(1, n) * fv.total()
-    steps.append(AuditStep(
-        "product_identity", Fraction(ie_bound, cube), f_bound,
-        Fraction(ie_bound, cube) == f_bound, True,
-        "equality: inclusion-exclusion bound rewritten through f1+f2+f3"))
-    steps.append(AuditStep(
-        "density_vs_f_sum", d, f_bound, d <= f_bound, True))
-
-    steps.append(_agg("f1_square",
-                      [(r.f1, (r.s1 - HALF) ** 2 - QUARTER) for r in rows]))
-    steps.append(_agg("f3_square",
-                      [(r.f3, (r.s3 - HALF) ** 2 - QUARTER) for r in rows]))
-    steps.append(_agg("mean_premise",
-                      [(HALF, r.s1) for r in rows] + [(HALF, r.s3) for r in rows],
-                      premise_ok=delta_ok,
-                      note="slot means at least 1/2; expected from min degree >= 1/4"))
-    steps.append(_agg("f2_case1",
-                      [(r.f2, (r.e21 - HALF) ** 2 / 2 + (r.e23 - HALF) ** 2 / 2 - QUARTER)
-                       for r in cprime]))
-    case2_premise = all(r.product >= QUARTER for r in cdouble) if cdouble else True
-    steps.append(_agg("f2_case2",
-                      [(r.f2, -QUARTER) for r in cdouble],
-                      premise_ok=case2_premise and delta_ok,
-                      note="needs e21*e23 >= min degree >= 1/4"))
-
+    # 1/4 + 3 (k-3)^2 / (4 (k-1)^2) and the target, over 4 (k-1)^2.
     target = target_density(k)
-    assembled_target = QUARTER + 3 * lemma_coeff
+    assembled_target = (k - 1) ** 2 + 3 * (k - 3) ** 2
     steps.append(AuditStep(
-        "target_value_identity", assembled_target, target,
-        assembled_target == target, True,
+        "target_value_identity", fr[assembled_target, 4 * (k - 1) ** 2], target,
+        assembled_target == 4 * (k * k - 5 * k + 7), True,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
     policy_data = []
@@ -316,20 +319,18 @@ def audit_chain(p: Palette, k: int, *,
         dig = aux_digraph(p, policy)
         dig1 = Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in dig.out[:n]])
         dig2 = Digraph.from_masks(n, [mask >> n for mask in dig.out[n:]])
-        st_d = degree_stats(dig, tau)
-        st_d1 = degree_stats(dig1, tau)
-        st_d2 = degree_stats(dig2, tau)
-        m_d = st_d.m_values
-        m_d1 = st_d1.m_values
-        m_d2 = st_d2.m_values
-        tk_d = is_tk_free(dig, k)
-        tk_d1 = is_tk_free(dig1, k)
-        tk_d2 = is_tk_free(dig2, k)
+        st_d, st_d1, st_d2 = (degree_stats(g, tau) for g in (dig, dig1, dig2))
+        # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
+        x, y1, y2 = ([max(o, i) for o, i in zip(st.out_degrees, st.in_degrees)]
+                     for st in (st_d, st_d1, st_d2))
+        tk_d, tk_d1, tk_d2 = (is_tk_free(g, k) for g in (dig, dig1, dig2))
         policy_data.append(PolicyData(
             policy=policy,
             loop_vertex=has_loop(dig),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
-            m_d=m_d, m_d1=m_d1, m_d2=m_d2,
+            m_d=tuple(fr[v, 2 * n] for v in x),
+            m_d1=tuple(fr[v, n] for v in y1),
+            m_d2=tuple(fr[v, n] for v in y2),
         ))
 
         # Which degree identities actually back this rule set on this palette.
@@ -337,101 +338,86 @@ def audit_chain(p: Palette, k: int, *,
         # the whole-digraph ones under OBSERVATION); the other two are
         # palette-dependent, so they gate the steps that lean on them as the
         # premise_ok flags of slot1_vs_m, slot3_vs_m, e21_vs_m2 and e23_vs_m1.
-        ident_slot1 = all(
-            st_d.out_degrees[a] == stats.degree(1, 2, a) + stats.degree(1, 3, a)
-            for a in range(n))
-        ident_slot3 = all(
-            st_d.in_degrees[n + a] == stats.degree(3, 1, a) + stats.degree(3, 2, a)
-            for a in range(n))
-        ident_e21 = all(st_d2.in_degrees[a] == stats.degree(2, 1, a) for a in range(n))
-        ident_e23 = all(st_d1.out_degrees[a] == stats.degree(2, 3, a) for a in range(n))
+        ident_slot1 = st_d.out_degrees[:n] == sum1
+        ident_slot3 = st_d.in_degrees[n:] == sum3
+        ident_e21 = st_d2.in_degrees == d21
+        ident_e23 = st_d1.out_degrees == d23
 
-        slot1 = _agg(f"slot1_vs_m.{suffix}",
-                     [(r.s1, m_d[r.color]) for r in rows],
-                     premise_ok=ident_slot1,
-                     note="backed by the whole-digraph out-degree identity")
-        slot3 = _agg(f"slot3_vs_m.{suffix}",
-                     [(r.s3, m_d[n + r.color]) for r in rows],
-                     premise_ok=ident_slot3,
-                     note="backed by the whole-digraph in-degree identity")
+        slot1 = agg(f"slot1_vs_m.{suffix}", [(sum1[a], x[a]) for a in colors], 2 * n,
+                    premise_ok=ident_slot1,
+                    note="backed by the whole-digraph out-degree identity")
+        slot3 = agg(f"slot3_vs_m.{suffix}", [(sum3[a], x[n + a]) for a in colors], 2 * n,
+                    premise_ok=ident_slot3,
+                    note="backed by the whole-digraph in-degree identity")
         # The squared comparison needs the slot mean on the increasing branch,
         # which the min-degree premise supplies.
-        f1_dig = _agg(f"f1_digraph.{suffix}",
-                      [(r.f1, (m_d[r.color] - HALF) ** 2 - QUARTER) for r in rows],
-                      premise_ok=delta_ok and slot1.holds)
-        f3_dig = _agg(f"f3_digraph.{suffix}",
-                      [(r.f3, (m_d[n + r.color] - HALF) ** 2 - QUARTER) for r in rows],
-                      premise_ok=delta_ok and slot3.holds)
-        e21_step = _agg(f"e21_vs_m2.{suffix}",
-                        [(r.e21, m_d2[r.color]) for r in cprime],
-                        premise_ok=ident_e21,
-                        note="backed by the second-block in-degree identity")
-        e23_step = _agg(f"e23_vs_m1.{suffix}",
-                        [(r.e23, m_d1[r.color]) for r in cprime],
-                        premise_ok=ident_e23,
-                        note="backed by the first-block out-degree identity")
-        f2c1_dig = _agg(f"f2_case1_digraph.{suffix}",
-                        [(r.f2, (m_d2[r.color] - HALF) ** 2 / 2
-                          + (m_d1[r.color] - HALF) ** 2 / 2 - QUARTER)
-                         for r in cprime],
-                        premise_ok=e21_step.holds and e23_step.holds)
+        f1_dig = agg(f"f1_digraph.{suffix}",
+                     [(f1[a], x[a] * (x[a] - 2 * n)) for a in colors], q,
+                     premise_ok=delta_ok and slot1.holds)
+        f3_dig = agg(f"f3_digraph.{suffix}",
+                     [(f3[a], x[n + a] * (x[n + a] - 2 * n)) for a in colors], q,
+                     premise_ok=delta_ok and slot3.holds)
+        e21_step = agg(f"e21_vs_m2.{suffix}", [(d21[a], y2[a]) for a in cprime], n,
+                       premise_ok=ident_e21,
+                       note="backed by the second-block in-degree identity")
+        e23_step = agg(f"e23_vs_m1.{suffix}", [(d23[a], y1[a]) for a in cprime], n,
+                       premise_ok=ident_e23,
+                       note="backed by the first-block out-degree identity")
+        f2c1_dig = agg(f"f2_case1_digraph.{suffix}",
+                       [(f2[a], 2 * (y2[a] * (y2[a] - n) + y1[a] * (y1[a] - n)))
+                        for a in cprime], q,
+                       premise_ok=e21_step.holds and e23_step.holds)
         steps.extend([slot1, slot3, f1_dig, f3_dig, e21_step, e23_step, f2c1_dig])
 
-        sum_f2 = sum(fv.f2, Fraction(0))
-        sq_d2_cprime = sum(((m_d2[r.color] - HALF) ** 2 for r in cprime), Fraction(0))
-        sq_d1_cprime = sum(((m_d1[r.color] - HALF) ** 2 for r in cprime), Fraction(0))
-        f2_sum_bound = sq_d2_cprime / 2 + sq_d1_cprime / 2 - Fraction(n, 4)
-        steps.append(AuditStep(
-            f"f2_sum.{suffix}", sum_f2, f2_sum_bound, sum_f2 <= f2_sum_bound,
-            case2_premise and delta_ok and e21_step.holds and e23_step.holds))
+        # Squared excesses over q: (m - 1/2)^2 is (x - n)^2 on D, (2y - n)^2 on a block.
+        sq_d = sum((v - n) ** 2 for v in x)
+        sq_d1 = sum((2 * y1[a] - n) ** 2 for a in cprime)
+        sq_d2 = sum((2 * y2[a] - n) ** 2 for a in cprime)
+        steps.append(agg(f"f2_sum.{suffix}", [(2 * sum(f2), sq_d1 + sq_d2 - 2 * cube)], 2 * q,
+                         premise_ok=case2_premise and delta_ok and e21_step.holds
+                         and e23_step.holds))
+        # 1/4 + sq_d / (n q) + (sq_d1 + sq_d2) / (2n q), over 8n^3.
+        steps.append(agg(f"assembled.{suffix}",
+                         [(8 * t, 2 * cube + 2 * sq_d + sq_d1 + sq_d2)], 8 * cube,
+                         premise_ok=case2_premise and delta_ok and slot1.holds
+                         and slot3.holds and e21_step.holds and e23_step.holds))
 
-        sq_d_all = sum(((mv - HALF) ** 2 for mv in m_d), Fraction(0))
-        assembled = (QUARTER + Fraction(1, n) * sq_d_all
-                     + Fraction(1, 2 * n) * (sq_d2_cprime + sq_d1_cprime))
-        steps.append(AuditStep(
-            f"assembled.{suffix}", d, assembled, d <= assembled,
-            case2_premise and delta_ok and slot1.holds and slot3.holds
-            and e21_step.holds and e23_step.holds))
+        coverage_full = agg(f"coverage_full.{suffix}",
+                            [(4 * n, v * (k - 1)) for v in x], 2 * n * (k - 1),
+                            premise_ok=delta_ok and slot1.holds and slot3.holds,
+                            note="every vertex of the auxiliary digraph reaches the threshold")
+        coverage_cprime = agg(f"coverage_cprime.{suffix}",
+                              [(2 * n, y1[a] * (k - 1)) for a in cprime]
+                              + [(2 * n, y2[a] * (k - 1)) for a in cprime], n * (k - 1),
+                              premise_ok=e21_step.holds and e23_step.holds)
+        # The lemma bound (k-3)^2 / (4 (k-1)^2) per vertex, over q (k-1)^2.
+        lemma = cube * (k - 3) ** 2
+        steps.extend([
+            coverage_full, coverage_cprime,
+            agg(f"square_sum_d.{suffix}", [(sq_d * (k - 1) ** 2, 2 * lemma)], q * (k - 1) ** 2,
+                premise_ok=tk_d and coverage_full.holds),
+            agg(f"square_sum_d1.{suffix}", [(sq_d1 * (k - 1) ** 2, lemma)], q * (k - 1) ** 2,
+                premise_ok=tk_d1 and coverage_cprime.holds),
+            agg(f"square_sum_d2.{suffix}", [(sq_d2 * (k - 1) ** 2, lemma)], q * (k - 1) ** 2,
+                premise_ok=tk_d2 and coverage_cprime.holds),
+        ])
 
-        coverage_full = all(mv >= tau for mv in m_d)
-        steps.append(_agg(f"coverage_full.{suffix}",
-                          [(tau, mv) for mv in m_d],
-                          premise_ok=delta_ok and slot1.holds and slot3.holds,
-                          note="every vertex of the auxiliary digraph reaches the threshold"))
-        coverage_cprime = all(m_d1[r.color] >= tau and m_d2[r.color] >= tau for r in cprime)
-        steps.append(_agg(f"coverage_cprime.{suffix}",
-                          [(tau, m_d1[r.color]) for r in cprime]
-                          + [(tau, m_d2[r.color]) for r in cprime],
-                          premise_ok=e21_step.holds and e23_step.holds))
-        steps.append(AuditStep(
-            f"square_sum_d.{suffix}", sq_d_all, lemma_coeff * (2 * n),
-            sq_d_all <= lemma_coeff * (2 * n),
-            tk_d and coverage_full))
-        steps.append(AuditStep(
-            f"square_sum_d1.{suffix}", sq_d1_cprime, lemma_coeff * n,
-            sq_d1_cprime <= lemma_coeff * n,
-            tk_d1 and coverage_cprime))
-        steps.append(AuditStep(
-            f"square_sum_d2.{suffix}", sq_d2_cprime, lemma_coeff * n,
-            sq_d2_cprime <= lemma_coeff * n,
-            tk_d2 and coverage_cprime))
-
-    steps.append(AuditStep(
-        "final_target", d, target, d <= target,
-        is_bad and delta_ok,
-        "density against the S_k target; premises: bad palette, min degree >= 1/4"))
+    steps.append(agg(
+        "final_target", [(t * (k - 1) ** 2, cube * (k * k - 5 * k + 7))], cube * (k - 1) ** 2,
+        premise_ok=is_bad and delta_ok,
+        note="density against the S_k target; premises: bad palette, min degree >= 1/4"))
 
     return AuditReport(
         k=k,
         num_colors=n,
-        density=d,
-        min_degree=delta,
+        density=stats.density,
+        min_degree=stats.min_degree,
         is_bad=is_bad,
         delta_premise_ok=delta_ok,
         x_counts=xs,
         exclusion_bound=exclusion_bound,
         ie_bound=ie_bound,
-        color_rows=tuple(rows),
+        color_rows=rows,
         policies=tuple(policy_data),
         steps=tuple(steps),
     )

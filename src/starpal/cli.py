@@ -19,7 +19,7 @@ from .audit import (_flag, audit_chain, audit_to_json, format_audit_kv,
 from .digraphs import (AuxPolicy, _arc_positions, aux_digraph, brute_max_arcs,
                        caro_wei_check, find_transitive_tournament, iter_loopless_digraphs,
                        parse_digraph, serialize_digraph, tk_square_check,
-                       tripartite_construction, tripartite_report, turan_max_arcs)
+                       tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star, parse_threegraph
 from .palette import POSITION_PAIRS, compute_stats, parse_palette, serialize_palette
@@ -198,6 +198,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     min_k = VERIFY_MIN_K[args.lemma]
     if args.k < min_k:
         raise ValueError(f"{args.lemma} needs k >= {min_k}")
+    first_n = args.k if args.lemma == "brown-harary" else 1
+    if args.max_n < first_n:
+        raise ValueError(f"--max-n {args.max_n} leaves nothing to check: "
+                         f"the {args.lemma} sweep starts at n={first_n}")
     _arc_positions(args.max_n)  # refuse an over-cap --max-n before the first n
     if args.lemma == "brown-harary":
         lines, rows, checked, violations = _verify_brown_harary(args)
@@ -269,7 +273,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     eps = _rational(args.eps)
     report = tripartite_report(args.n, eps)
-    d = tripartite_construction(args.n, eps)
+    d = report.digraph
     if args.json:
         return _emit_json({
             "shape": "tripartite",
@@ -319,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Palette goodness, auxiliary digraphs, and extremal star-pattern searches.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, with_float=True):
-        sp.add_argument("--json", action="store_true", help="emit one JSON document")
+    def add_common(sp, *, with_float=True, json_group=None):
+        (json_group or sp).add_argument("--json", action="store_true",
+                                        help="emit one JSON document")
         if with_float:
             sp.add_argument("--float", action="store_true",
                             help="append decimal renderings to exact rationals")
@@ -369,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit", help="audit the density bound chain on a palette")
     sp.add_argument("palette", help="palette file, or - for stdin")
     sp.add_argument("--star", type=int, required=True, help="number of leaves k (k >= 5)")
-    sp.add_argument("--kv", action="store_true", help="machine-readable per-step lines")
+    fmt = sp.add_mutually_exclusive_group()
+    fmt.add_argument("--kv", action="store_true", help="machine-readable per-step lines")
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    add_common(sp)
+    add_common(sp, json_group=fmt)
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("search", help="search for extremal bad palettes")

@@ -397,7 +397,8 @@ class TripartiteReport:
     vertex) is exactly 2 (1/3-eps) (1/6+eps)^2 n + (1/3+2 eps) (1/6-2 eps)^2 n,
     which simplifies to (1/36 + 6 eps^3) n.  That exceeds the squared-excess
     bound for k = 4, (1/36) n, for every eps > 0 (the threshold 2/(k-1) is
-    tight), but never reaches n/16: exceeds_sixteenth stays False.
+    tight), but never reaches n/16: exceeds_sixteenth stays False.  digraph
+    is the construction itself.
     """
 
     n: int
@@ -413,6 +414,7 @@ class TripartiteReport:
     exceeds_k4_bound: bool
     sixteenth: Fraction
     exceeds_sixteenth: bool
+    digraph: Digraph
 
 
 def tripartite_report(n: int, eps: Fraction) -> TripartiteReport:
@@ -440,4 +442,5 @@ def tripartite_report(n: int, eps: Fraction) -> TripartiteReport:
         exceeds_k4_bound=report.sum_sq > k4_bound,
         sixteenth=sixteenth,
         exceeds_sixteenth=report.sum_sq > sixteenth,
+        digraph=d,
     )

@@ -6,7 +6,10 @@ import time
 
 import pytest
 
+import starpal.cli
+import starpal.digraphs
 from starpal import parse_digraph, parse_palette
+from starpal.cli import main
 
 EXAMPLE = "palette 2\n0 0 1\n"
 BAD = "palette 2\n0 1 0\n1 0 1\n"
@@ -204,11 +207,41 @@ def test_usage_error_exits_2():
                  ("verify", "--lemma", "caro-wei", "--max-n", "2", "--k", "1"),
                  ("verify", "--lemma", "caro-wei", "--max-n", "0", "--k", "1"),
                  ("verify", "--lemma", "brown-harary", "--max-n", "1", "--k", "2"),
-                 ("verify", "--lemma", "tk-square", "--max-n", "1", "--k", "3")):
+                 ("verify", "--lemma", "tk-square", "--max-n", "1", "--k", "3"),
+                 # --max-n below the first n of the sweep leaves nothing to check.
+                 ("verify", "--lemma", "brown-harary", "--max-n", "2", "--k", "3"),
+                 ("verify", "--lemma", "tk-square", "--max-n", "0", "--k", "4"),
+                 ("verify", "--lemma", "caro-wei", "--max-n", "-1", "--k", "3")):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_audit_kv_and_json_are_exclusive(bad_file):
+    proc = run("audit", bad_file, "--star", "5", "--kv", "--json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with" in proc.stderr
+
+
+def test_construct_builds_the_digraph_once(monkeypatch, capsys):
+    built = []
+    original = starpal.digraphs.tripartite_construction
+
+    def counting(n, eps):
+        built.append((n, eps))
+        return original(n, eps)
+
+    monkeypatch.setattr(starpal.digraphs, "tripartite_construction", counting)
+    # Also catch a second build through a name the CLI module imported.
+    monkeypatch.setattr(starpal.cli, "tripartite_construction", counting, raising=False)
+    for extra in ((), ("--json",)):
+        built.clear()
+        assert main(["construct", "tripartite", "--n", "9", "--eps", "0", *extra]) == 0
+        assert len(built) == 1
+    assert capsys.readouterr().out
 
 
 def test_verify_refuses_over_cap_max_n_before_sweeping():
