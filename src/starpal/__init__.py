@@ -20,7 +20,7 @@ from .digraphs import (AuxPolicy, CaroWeiReport, DegreeStats, Digraph, TkSquareR
                        tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, GoodnessWitness,
-                       ThreeGraph, brute_force_is_good, is_good, make_star,
+                       ThreeGraph, brute_force_is_good, is_bad, is_good, make_star,
                        parse_threegraph, serialize_threegraph, star_apex,
                        verify_witness)
 from .palette import (POSITION_PAIRS, Palette, PaletteStats, admissible_pairs,
@@ -45,7 +45,7 @@ __all__ = [
     "claim_check", "compute_stats", "degree_stats",
     "f_values", "find_transitive_tournament", "format_audit_kv",
     "format_audit_text", "g_inequality_check", "has_loop",
-    "is_good", "is_tk_free", "iter_all_triples", "iter_loopless_digraphs",
+    "is_bad", "is_good", "is_tk_free", "iter_all_triples", "iter_loopless_digraphs",
     "make_star", "maximal_bad_extensions", "minimality_check", "minimalize",
     "parse_digraph", "parse_palette", "parse_threegraph", "permute_colors",
     "random_bad_palette", "random_maximal_bad_palette", "remove_color", "search",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraphs import AuxPolicy, Digraph, aux_digraph, degree_stats, has_loop, is_tk_free
-from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star
+from .digraphs import AuxPolicy, Digraph, _find_tk, aux_digraph, degree_stats, has_loop
+from .goodness import DEFAULT_NODE_BUDGET, _Budget, is_bad, make_star
 from .palette import Palette, PaletteStats, admissible_pairs, compute_stats, remove_color
 
 
@@ -243,7 +243,11 @@ def audit_chain(p: Palette, k: int, *,
     stats = compute_stats(p)
     t = stats.num_triples
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
-    is_bad = is_good(p, make_star(k), node_budget=node_budget) is None
+    # The verdict is the LITERAL D's (no loop, no T_k), charged as `is_bad` charges
+    # it: |P| here, then its T_k search when D has no loop.  P = {} charges nothing.
+    spend = _Budget(node_budget).spend if t else None
+    if spend:
+        spend(t)
     xs = _x_sets(p, stats)
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
@@ -313,7 +317,7 @@ def audit_chain(p: Palette, k: int, *,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
     policy_data = []
-    for policy in (AuxPolicy.LITERAL, AuxPolicy.OBSERVATION):
+    for policy, spend in ((AuxPolicy.LITERAL, spend), (AuxPolicy.OBSERVATION, None)):
         suffix = policy.value
         # D on 2n vertices; its blocks D1 (first n) and D2 (last n).
         dig = aux_digraph(p, policy)
@@ -323,10 +327,12 @@ def audit_chain(p: Palette, k: int, *,
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(st.out_degrees, st.in_degrees)]
                      for st in (st_d, st_d1, st_d2))
-        tk_d, tk_d1, tk_d2 = (is_tk_free(g, k) for g in (dig, dig1, dig2))
+        loop = has_loop(dig)
+        tk_d = _find_tk(dig.out, 2 * n, k, spend if loop is None else None) is None
+        tk_d1, tk_d2 = (_find_tk(g.out, n, k) is None for g in (dig1, dig2))
         policy_data.append(PolicyData(
             policy=policy,
-            loop_vertex=has_loop(dig),
+            loop_vertex=loop,
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
             m_d=tuple(fr[v, 2 * n] for v in x),
             m_d1=tuple(fr[v, n] for v in y1),
@@ -402,9 +408,10 @@ def audit_chain(p: Palette, k: int, *,
                 premise_ok=tk_d2 and coverage_cprime.holds),
         ])
 
+    bad = policy_data[0].loop_vertex is None and policy_data[0].d_tk_free
     steps.append(agg(
         "final_target", [(t * (k - 1) ** 2, cube * (k * k - 5 * k + 7))], cube * (k - 1) ** 2,
-        premise_ok=is_bad and delta_ok,
+        premise_ok=bad and delta_ok,
         note="density against the S_k target; premises: bad palette, min degree >= 1/4"))
 
     return AuditReport(
@@ -412,7 +419,7 @@ def audit_chain(p: Palette, k: int, *,
         num_colors=n,
         density=stats.density,
         min_degree=stats.min_degree,
-        is_bad=is_bad,
+        is_bad=bad,
         delta_premise_ok=delta_ok,
         x_counts=xs,
         exclusion_bound=exclusion_bound,
@@ -550,7 +557,7 @@ def claim_check(p: Palette, k: int, *,
     stats = compute_stats(p)
     rhs = 3 * stats.density - Fraction(2 * k - 3, k - 1)
     minimal = minimality_check(p)
-    bad = is_good(p, make_star(k), node_budget=node_budget) is None
+    bad = is_bad(p, make_star(k), node_budget=node_budget)
     return ClaimReport(
         k=k,
         delta=stats.min_degree,

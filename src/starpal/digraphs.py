@@ -284,10 +284,14 @@ class DegreeStats:
 
 
 def degree_stats(d: Digraph, tau: Fraction) -> DegreeStats:
-    """DegreeStats by popcount of out-masks; a loop counts once toward each side."""
+    """DegreeStats from out-masks, one step per arc; a loop counts once toward each side."""
     outs = tuple(mask.bit_count() for mask in d.out)
-    ins = tuple(sum(mask >> v & 1 for mask in d.out) for v in range(d.num_vertices))
-    return DegreeStats(d.num_vertices, outs, ins, tau)
+    ins = [0] * d.num_vertices
+    for mask in d.out:
+        while mask:
+            ins[(mask & -mask).bit_length() - 1] += 1
+            mask &= mask - 1
+    return DegreeStats(d.num_vertices, outs, tuple(ins), tau)
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,19 @@ coloring of the vertex pairs puts every edge's ordered color triple inside A:
 for an edge {u, v, w} with u before v before w, the triple
 (color(uv), color(uw), color(vw)) must be admissible.
 
-Two independent deciders live here.  `is_good` decides a star S_k through
-the palette's auxiliary digraph: P is S_k-good exactly when
+Two independent deciders live here.  A star S_k is decided once, by
+`_star_certificate`: P is S_k-good exactly when
 `aux_digraph(P, AuxPolicy.LITERAL)` has a loop or contains a transitive
 tournament T_k.  Each leaf-leaf pair of S_k lies in exactly one edge, so its
 color projects away: two leaves before the apex need (2,3)-admissibility of
 their apex-pair colors, two leaves after it need (1,2), and a straddling pair
 needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
 bidirected, so any T_k can be reordered with its block-1 vertices first; a
-loop lets every leaf take its color on one side of the apex.  The decision
-runs on the digraph's out-neighborhood bitmasks (`Digraph.out`), which
-`aux_digraph` builds in one pass over the triples.  Any other 3-graph
-goes to a sweep over all orderings with a backtracking pair-coloring search.
-`brute_force_is_good`, a cap-guarded full enumeration, is the oracle against
-both.
+loop lets every leaf take its color on one side of the apex.  That loop or
+T_k, read from the out-masks, is the certificate: `is_bad` stops there, and
+`is_good` builds and verifies a witness from it.  Any other 3-graph goes to
+a sweep over all orderings with a backtracking pair-coloring search.
+`brute_force_is_good`, a cap-guarded full enumeration, is the oracle.
 """
 
 from __future__ import annotations
@@ -207,12 +206,11 @@ def is_good(p: Palette, f: ThreeGraph, *,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[GoodnessWitness]:
     """Decide goodness of p for f; return a verified witness or None (bad).
 
-    A star goes to the auxiliary-digraph decision (`_star_witness`): good
-    exactly when `aux_digraph(p, AuxPolicy.LITERAL)` has a loop or a T_k,
-    read from its out-masks, with the witness built from that loop or T_k.
-    Any other 3-graph goes to a sweep over all vertex orderings, each with a
-    backtracking search for a pair coloring that prunes with per-pair
-    candidate sets.
+    A star is decided once, by `_star_certificate` (a loop or T_k of
+    `aux_digraph(p, AuxPolicy.LITERAL)`, read from its out-masks), and the
+    witness is built from that certificate.  Any other 3-graph goes to a
+    sweep over all vertex orderings, each with a backtracking search for a
+    pair coloring that prunes with per-pair candidate sets.
 
     node_budget bounds the elementary checks: on the star route |P| for the
     projection scan plus one per T_k search node, on the sweep |P| per
@@ -220,14 +218,14 @@ def is_good(p: Palette, f: ThreeGraph, *,
     returning a verdict.
     """
     if not f.edges:
-        w = GoodnessWitness(tuple(range(f.num_vertices)), {})
-        return w
+        return GoodnessWitness(tuple(range(f.num_vertices)), {})
     if not p.triples:
         return None
     budget = _Budget(node_budget)
     apex = star_apex(f)
     if apex is not None:
-        w = _star_witness(p, f, apex, budget)
+        verts = _star_certificate(p, f.num_vertices - 1, budget)
+        w = None if verts is None else _star_witness(p, f, apex, verts)
         assert w is None or verify_witness(p, f, w)
         return w
     triples = p.sorted_triples()
@@ -240,34 +238,45 @@ def is_good(p: Palette, f: ThreeGraph, *,
     return None
 
 
-def _star_witness(p: Palette, f: ThreeGraph, apex: int,
-                  budget: _Budget) -> Optional[GoodnessWitness]:
-    """Witness for the star f from a loop or T_k of the aux digraph, or None.
+def is_bad(p: Palette, f: ThreeGraph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """`is_good(p, f) is None`, decided and charged as there; a star's verdict
+    stops at `_star_certificate` and builds no witness."""
+    if p.triples and star_apex(f) is not None:
+        return _star_certificate(p, f.num_vertices - 1, _Budget(node_budget)) is None
+    return is_good(p, f, node_budget=node_budget) is None
 
-    Works on `aux_digraph(p, AuxPolicy.LITERAL)`: the loop is `has_loop`'s,
-    and a loopless digraph's out-masks go straight to the T_k search.  Leaf i
-    takes aux vertex verts[i], block-1 vertices first: the leaves on block-1
-    vertices precede the apex, the rest follow it, and each leaf's apex-pair
-    color is its vertex mod m.  Each leaf-leaf color is the least color
-    completing a triple that realises the pair's projection.
-    """
+
+def _star_certificate(p: Palette, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
+    """Aux vertices for a star's k leaves, None when p is S_k-bad: a loop of
+    `aux_digraph(p, LITERAL)` k times, or a T_k block-1 first, arcs checked."""
     m = p.num_colors
-    leaves = [v for v in range(f.num_vertices) if v != apex]
-    k = len(leaves)
     budget.spend(len(p.triples))
     d = aux_digraph(p, AuxPolicy.LITERAL)
     loop = has_loop(d)
     if loop is not None:
-        verts = [loop] * k
-    else:
-        tk = _find_tk(d.out, 2 * m, k, budget.spend)
-        if tk is None:
-            return None
-        verts = sorted(tk, key=lambda v: v >= m)
+        return (loop,) * k
+    tk = _find_tk(d.out, 2 * m, k, budget.spend)
+    if tk is None:
+        return None
+    verts = tuple(sorted(tk, key=lambda v: v >= m))
+    assert len(verts) == k and all(d.out[u] >> v & 1 for u, v in itertools.combinations(verts, 2))
+    return verts
+
+
+def _star_witness(p: Palette, f: ThreeGraph, apex: int,
+                  verts: tuple[int, ...]) -> GoodnessWitness:
+    """Star f's witness from its certificate: leaf i takes aux vertex verts[i].
+
+    Leaves on block-1 vertices precede the apex, the rest follow it; each
+    apex-pair color is the vertex mod m, each leaf-leaf color the least one
+    completing a triple that realises the pair's projection.
+    """
+    m = p.num_colors
+    leaves = [v for v in range(f.num_vertices) if v != apex]
     r = sum(1 for v in verts if v < m)
     triples = p.triples
     coloring = {_key(apex, leaf): v % m for leaf, v in zip(leaves, verts)}
-    for i, j in itertools.combinations(range(k), 2):
+    for i, j in itertools.combinations(range(len(leaves)), 2):
         a, b = verts[i] % m, verts[j] % m
         if j < r:  # both leaves precede the apex: (2,3)-projection
             free = next(c for c in range(m) if (c, a, b) in triples)

@@ -3,9 +3,9 @@
 Badness is closed under removing triples and colors, so only maximal bad
 palettes can carry the best objective value.  The exhaustive engine sweeps
 every palette on a fixed color count (optionally deduplicating by canonical
-form, which enumerates one palette per color-relabeling class); the local
-engine does randomized greedy growth with restarts.  Every reported optimum
-is re-verified bad, against the brute-force oracle when it fits its cap.
+form: one palette per color-relabeling class); the local engine does
+randomized greedy growth with restarts.  Both ask `is_bad`, which builds no
+witness.  Reported optima are re-verified bad, by brute force within its cap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph,
-                       brute_force_is_good, is_good, make_star)
+                       brute_force_is_good, is_bad, make_star)
 from .palette import (Palette, Triple, _mask_triples, _relabeled_masks, canonical_form,
                       compute_stats, iter_all_triples, remove_color)
 
@@ -134,7 +134,7 @@ def search(cfg: SearchConfig) -> SearchReport:
 
 
 def _verify_bad(p: Palette, star: ThreeGraph, node_budget: int) -> None:
-    if is_good(p, star, node_budget=node_budget) is not None:
+    if not is_bad(p, star, node_budget=node_budget):
         raise RuntimeError("internal error: reported optimum is not bad")
     try:
         oracle = brute_force_is_good(p, star, cap=DEFAULT_ENUM_CAP)
@@ -153,7 +153,7 @@ def _search_exhaustive(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tupl
         p = Palette(cfg.num_colors, frozenset(
             universe[i] for i in range(len(universe)) if (bits >> i) & 1))
         examined += 1
-        if is_good(p, star, node_budget=cfg.node_budget) is None:
+        if is_bad(p, star, node_budget=cfg.node_budget):
             bad_found += 1
             best.offer(p)
     return examined, bad_found
@@ -172,7 +172,7 @@ def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[
     m = cfg.num_colors
     empty = Palette.empty(m)
     examined, bad_found = 1, 0
-    if is_good(empty, star, node_budget=cfg.node_budget) is not None:
+    if not is_bad(empty, star, node_budget=cfg.node_budget):
         return examined, bad_found  # cannot happen for k >= 2; defensive
     bad_found += 1
     best.offer(empty)
@@ -188,7 +188,7 @@ def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[
                     continue
                 examined += 1
                 cand = Palette(m, frozenset(base + [t]))
-                if is_good(cand, star, node_budget=cfg.node_budget) is None:
+                if is_bad(cand, star, node_budget=cfg.node_budget):
                     next_level.add(ckey)
                     bad_found += 1
                     best.offer(cand, tuple(_mask_triples(m, ckey)))
@@ -240,7 +240,7 @@ def _search_local(cfg: SearchConfig, star: ThreeGraph,
                     break
                 trial = current.with_triple(t)
                 examined += 1
-                if is_good(trial, star, node_budget=cfg.node_budget) is None:
+                if is_bad(trial, star, node_budget=cfg.node_budget):
                     bad_found += 1
                     current = trial
                     progress = True
@@ -262,14 +262,14 @@ def maximal_bad_extensions(p: Palette, k: int, *,
     Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
-    if is_good(p, star, node_budget=node_budget) is not None:
+    if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; nothing to extend")
     current = p
     for t in iter_all_triples(p.num_colors):
         if t in current.triples:
             continue
         trial = current.with_triple(t)
-        if is_good(trial, star, node_budget=node_budget) is None:
+        if is_bad(trial, star, node_budget=node_budget):
             current = trial
     return current
 
@@ -289,14 +289,14 @@ def minimalize(p: Palette, k: int, *,
     cross-check.  Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
-    if is_good(p, star, node_budget=node_budget) is not None:
+    if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
     while current.num_colors >= 2:
         for a in range(current.num_colors):
             smaller = remove_color(current, a)
             if smaller.density >= current.density:
-                assert is_good(smaller, star, node_budget=node_budget) is None
+                assert is_bad(smaller, star, node_budget=node_budget)
                 current = smaller
                 break
         else:
@@ -313,7 +313,7 @@ def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,
     rng.shuffle(triples)
     for t in triples:
         trial = current.with_triple(t)
-        if is_good(trial, star, node_budget=node_budget) is None:
+        if is_bad(trial, star, node_budget=node_budget):
             current = trial
     return current
 

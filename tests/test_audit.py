@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starpal import (AuxPolicy, Digraph, Palette, PolicyData, audit_chain, audit_to_json,
-                     audit_to_jsonable, aux_digraph, claim_check, f_values,
+from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, audit_chain,
+                     audit_to_json, audit_to_jsonable, aux_digraph, claim_check, f_values,
                      find_transitive_tournament, format_audit_kv, format_audit_text,
-                     g_inequality_check, iter_all_triples, minimality_check,
-                     stars_bounds, target_density, x_sets)
+                     g_inequality_check, is_good, iter_all_triples, make_star,
+                     minimality_check, stars_bounds, target_density, x_sets)
 from starpal.audit import GEntry
 
 small_palettes = st.integers(1, 3).flatmap(
@@ -124,6 +124,42 @@ def _arc_reference(p, policy, k):
     return PolicyData(policy, min(loops) if loops else None,
                       tk_free(whole), tk_free(block1), tk_free(block2),
                       m_values(whole), m_values(block1), m_values(block2))
+
+
+def _budget_outcome(decide):
+    """decide()'s verdict, or the kind and message of its budget error."""
+    try:
+        return decide()
+    except (BudgetExceeded, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_audit_budget_matches_is_good():
+    # P_4 and P_5 have no loop (P_5's T_5 search spends 660 nodes at k = 5),
+    # the m = 5 lower-bound palette is good through a T_5, and the full and
+    # random palettes have loops, so they are charged |P| alone.
+    p4, p5, p6 = ([(a, b, c) for (a, b, c) in iter_all_triples(m)
+                   if a != b and b != c and c != (a + 1) % m] for m in (3, 4, 5))
+    rng = random.Random(3)
+    palettes = [OPTIMUM, Palette(3, p4), Palette(4, p5), Palette(5, p6), Palette.full(2),
+                Palette.empty(3)]
+    palettes += [Palette(m, [t for t in iter_all_triples(m) if rng.random() < 0.3])
+                 for m in (3, 4, 4)]
+    kinds = set()
+    for p in palettes:
+        for k in (5, 6):
+            if p.num_colors == 5 and k == 6:
+                continue  # a bad verdict that spends 6,396 nodes
+            star = make_star(k)
+            budget, settled = 0, 0
+            while settled < 3:
+                want = _budget_outcome(lambda: is_good(p, star, node_budget=budget) is None)
+                got = _budget_outcome(lambda: audit_chain(p, k, node_budget=budget).is_bad)
+                assert got == want, (p, k, budget)
+                kinds.add(want if isinstance(want, bool) else want[0])
+                settled += isinstance(want, bool)
+                budget += 1
+    assert kinds == {True, False, "BudgetExceeded", "ValueError"}
 
 
 def test_policy_data_matches_arc_reference():

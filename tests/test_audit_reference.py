@@ -236,6 +236,24 @@ def test_four_colour_palettes_match_reference():
             _assert_same(p, k)
 
 
+def test_audit_verdict_matches_is_good_on_reference_set():
+    cases = [(p, k) for k in (5, 6, 7) for p in _two_colour_palettes()]
+    rng = random.Random(8)
+    cases += [(random_bad_palette(5 + i % 3, 3, rng), 5 + i % 3) for i in range(30)]
+    rng = random.Random(4)
+    universe = list(iter_all_triples(4))
+    fours = [lower_bound_palette(5), Palette.full(4), Palette.empty(4)]
+    fours += [Palette(4, [t for t in universe if rng.random() < dens])
+              for dens in (0.2, 0.45, 0.7)]
+    cases += [(p, k) for p in fours for k in (5, 6)]
+    verdicts = set()
+    for p, k in cases:
+        bad = is_good(p, make_star(k)) is None
+        assert audit_chain(p, k).is_bad == bad, (k, p)
+        verdicts.add(bad)
+    assert verdicts == {True, False}
+
+
 def test_residual_ties_keep_first_pair():
     # In f1_square, colour 0 gives the pair (-1/4, -1/4) and colour 1 gives
     # (0, 0): both have residual 0, and the first one is reported.

@@ -188,6 +188,13 @@ def test_budget_exhaustion_exits_3(bad_file):
     assert "budget" in proc.stderr
 
 
+def test_audit_rejects_nonpositive_node_budget(bad_file):
+    proc = run("audit", bad_file, "--star", "5", "--node-budget", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: node budget must be positive\n"
+    assert proc.stdout == ""
+
+
 def test_large_star_with_loop_is_good(tmp_path):
     path = tmp_path / "loop.pal"
     path.write_text("palette 2\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n0 0 1\n")

@@ -252,6 +252,16 @@ def test_degree_stats_counts_loops_both_ways():
     assert stats.vprime == {0, 1}
 
 
+@given(st.integers(0, 8).flatmap(lambda n: st.builds(
+    Digraph.from_masks, st.just(n), st.lists(st.integers(0, (1 << n) - 1),
+                                             min_size=n, max_size=n))))
+def test_degree_stats_matches_arc_scan(d):
+    stats = degree_stats(d, Fraction(1, 2))
+    arcs = d.sorted_arcs()
+    assert stats.out_degrees == tuple(sum(u == w for u, _ in arcs) for w in range(d.num_vertices))
+    assert stats.in_degrees == tuple(sum(v == w for _, v in arcs) for w in range(d.num_vertices))
+
+
 def test_caro_wei_directed_cycle():
     cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     rep = caro_wei_check(cycle, 3)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starpal.goodness
 from starpal import (BudgetExceeded, EnumerationCapExceeded, GoodnessWitness,
-                     Palette, ThreeGraph, brute_force_is_good, is_good,
+                     Palette, ThreeGraph, brute_force_is_good, is_bad, is_good,
                      iter_all_triples, make_star, parse_threegraph, permute_colors,
                      serialize_threegraph, star_apex, verify_witness)
 from starpal.goodness import relabel_vertices
@@ -175,6 +176,7 @@ def test_non_star_graph():
 def _agrees_with_oracle(p, f):
     fast, slow = is_good(p, f), brute_force_is_good(p, f)
     assert (fast is None) == (slow is None), (f.sorted_edges(), p.sorted_triples())
+    assert is_bad(p, f) == (slow is None), (f.sorted_edges(), p.sorted_triples())
     if fast is not None:
         assert verify_witness(p, f, fast)
 
@@ -218,6 +220,59 @@ def test_star_route_good_verdicts_verify(k, p):
     w = is_good(p, star)
     if w is not None:
         assert verify_witness(p, star, w)
+
+
+def test_is_bad_on_non_stars_edgeless_graphs_and_empty_palettes():
+    two_edges = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
+    for p in all_palettes(2):
+        _agrees_with_oracle(p, two_edges)
+        assert is_bad(p, ThreeGraph(3, [])) is False
+    for k in (2, 3, 6):
+        assert is_bad(Palette.empty(2), make_star(k)) is True
+        assert is_bad(Palette.empty(2), make_star(k), node_budget=0) is True
+    with pytest.raises(ValueError, match="node budget must be positive"):
+        is_bad(Palette.full(2), make_star(3), node_budget=0)
+
+
+def _outcome(decide, p, f, budget):
+    """decide's verdict under budget, or the BudgetExceeded message."""
+    try:
+        return decide(p, f, node_budget=budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_is_bad_matches_is_good_verdicts_and_budgets():
+    rng = random.Random(41)
+    refused = verdicts = 0
+    for _ in range(2000):
+        m, k = rng.randrange(3, 6), rng.randrange(2, 9)
+        p = Palette(m, rng.sample(list(iter_all_triples(m)), rng.randrange(0, m ** 3 // 2)))
+        f = make_star(k)
+        assert is_bad(p, f) == (is_good(p, f) is None)
+        budget = rng.randrange(1, 2001)
+        good = _outcome(is_good, p, f, budget)
+        bad = _outcome(is_bad, p, f, budget)
+        if isinstance(good, str):
+            assert bad == good
+            refused += 1
+        else:
+            assert bad == (good is None)
+            verdicts += 1
+    assert refused and verdicts
+
+
+def test_star_certificate_checks_the_tk_it_returns(monkeypatch):
+    # The aux digraph of P_3 has no loop, and its T_2 is (0, 1).  The cross
+    # arcs join 0 with 2 and 1 with 3, so the pair (0, 3) misses its arc.
+    p = Palette(2, [(0, 1, 0), (1, 0, 1)])
+    star = make_star(2)
+    assert not is_bad(p, star)
+    monkeypatch.setattr(starpal.goodness, "_find_tk", lambda out, n, k, spend=None: (0, 3))
+    with pytest.raises(AssertionError):
+        is_bad(p, star)
+    with pytest.raises(AssertionError):
+        is_good(p, star)
 
 
 def test_deep_non_star_search_does_not_recurse():
