@@ -236,6 +236,10 @@ def audit_chain(p: Palette, k: int, *,
     so each per-color quantity is an integer over q = 4n^2 and each
     step compares two integers over one positive denominator.  Fractions are
     built only for the reported fields.
+
+    node_budget bounds the verdict only, charged as `is_bad` charges it: |P|,
+    plus the LITERAL D's T_k search when D has no loop.  The block searches,
+    the OBSERVATION D's and a looped LITERAL D's run without a bound.
     """
     if k < 5:
         raise ValueError(f"the audited chain needs k >= 5, got {k}")
@@ -316,20 +320,24 @@ def audit_chain(p: Palette, k: int, *,
         assembled_target == 4 * (k * k - 5 * k + 7), True,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
+    # D on 2n vertices; its blocks D1 (first n) and D2 (last n).  LITERAL's
+    # blocks are the (2,3)- and (1,2)-projection digraphs, OBSERVATION's the
+    # same two swapped, so each block is sliced, measured and searched once.
+    literal = aux_digraph(p, AuxPolicy.LITERAL)
+    blocks = [(degree_stats(g, tau), _find_tk(g.out, n, k) is None) for g in (
+        Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in literal.out[:n]]),
+        Digraph.from_masks(n, [mask >> n for mask in literal.out[n:]]))]
     policy_data = []
-    for policy, spend in ((AuxPolicy.LITERAL, spend), (AuxPolicy.OBSERVATION, None)):
+    for policy, dig, spend, ((st_d1, tk_d1), (st_d2, tk_d2)) in (
+            (AuxPolicy.LITERAL, literal, spend, blocks),
+            (AuxPolicy.OBSERVATION, aux_digraph(p, AuxPolicy.OBSERVATION), None, blocks[::-1])):
         suffix = policy.value
-        # D on 2n vertices; its blocks D1 (first n) and D2 (last n).
-        dig = aux_digraph(p, policy)
-        dig1 = Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in dig.out[:n]])
-        dig2 = Digraph.from_masks(n, [mask >> n for mask in dig.out[n:]])
-        st_d, st_d1, st_d2 = (degree_stats(g, tau) for g in (dig, dig1, dig2))
+        st_d = degree_stats(dig, tau)
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(st.out_degrees, st.in_degrees)]
                      for st in (st_d, st_d1, st_d2))
         loop = has_loop(dig)
         tk_d = _find_tk(dig.out, 2 * n, k, spend if loop is None else None) is None
-        tk_d1, tk_d2 = (_find_tk(g.out, n, k) is None for g in (dig1, dig2))
         policy_data.append(PolicyData(
             policy=policy,
             loop_vertex=loop,

@@ -376,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--star", type=int, required=True, help="number of leaves k (k >= 5)")
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--kv", action="store_true", help="machine-readable per-step lines")
-    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                    help="bounds the bad verdict only: |P| plus the loopless LITERAL "
+                         "aux digraph's T_k search; the other T_k searches are unbounded")
     add_common(sp, json_group=fmt)
     sp.set_defaults(func=cmd_audit)
 

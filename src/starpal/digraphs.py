@@ -154,31 +154,32 @@ def _find_tk(out: Sequence[int], n: int, k: int,
     Loops in out are ignored: a chosen vertex leaves the candidate set.
     Vertices are tried in increasing index so the first witness is
     deterministic.  spend, when given, is called with 1 at every search node.
+    The DFS keeps an explicit stack, one candidate mask and one untried mask
+    per depth, so the recursion limit does not bound k.
     """
     if k > n:
         return None
-    prefix: list[int] = []
-
-    def rec(cand: int) -> bool:
+    prefix, cands, untried = [0] * k, [0] * k, [0] * k
+    depth, cand = 0, (1 << n) - 1
+    while True:
         if spend is not None:
             spend(1)
-        if len(prefix) == k:
-            return True
-        if cand.bit_count() < k - len(prefix):
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            prefix.append(low.bit_length() - 1)
-            if rec(cand & out[prefix[-1]] & ~low):
-                return True
-            prefix.pop()
-        return False
-
-    if rec((1 << n) - 1):
-        return tuple(prefix)
-    return None
+        if depth == k:
+            return tuple(prefix)
+        if cand.bit_count() >= k - depth:
+            cands[depth] = untried[depth] = cand
+        else:
+            depth -= 1
+        while depth >= 0 and not untried[depth]:
+            depth -= 1
+        if depth < 0:
+            return None
+        rest = untried[depth]
+        low = rest & -rest
+        untried[depth] = rest ^ low
+        prefix[depth] = v = low.bit_length() - 1
+        cand = cands[depth] & out[v] & ~low
+        depth += 1
 
 
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:

@@ -3,8 +3,9 @@
 Badness is closed under removing triples and colors, so only maximal bad
 palettes can carry the best objective value.  The exhaustive engine sweeps
 every palette on a fixed color count (optionally deduplicating by canonical
-form: one palette per color-relabeling class); the local engine does
-randomized greedy growth with restarts.  Both ask `is_bad`, which builds no
+form: one palette per color-relabeling class); the local engine restarts
+randomized greedy growth.  Every maximal bad palette is grown by `_grow`,
+one pass over a triple order.  All of them ask `is_bad`, which builds no
 witness.  Reported optima are re-verified bad, by brute force within its cap.
 """
 
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded
@@ -107,19 +108,15 @@ def search(cfg: SearchConfig) -> SearchReport:
     """Run the configured search and return a verified, reproducible report.
 
     The returned best palette is in canonical form.  Exhaustive runs carry a
-    certificate; local runs never do.  The report's objective value is
-    recomputed from the palette at reporting time.
+    certificate; local runs never do, and they spend their whole budget.  The
+    report's objective value is recomputed from the palette at reporting time.
     """
     star = make_star(cfg.k)
     objective = _objective_fn(cfg.objective)
     best = _Best(objective)
-    if cfg.mode == "exhaustive":
-        examined, bad_found = _search_exhaustive(cfg, star, best)
-        certificate = True
-        exhausted = False
-    else:
-        examined, bad_found, exhausted = _search_local(cfg, star, best)
-        certificate = False
+    exhaustive = cfg.mode == "exhaustive"
+    engine = _search_exhaustive if exhaustive else _search_local
+    examined, bad_found = engine(cfg, star, best)
     assert best.palette is not None  # the empty palette is always S_k-bad
     _verify_bad(best.palette, star, cfg.node_budget)
     return SearchReport(
@@ -128,8 +125,8 @@ def search(cfg: SearchConfig) -> SearchReport:
         best_objective=objective(best.palette),
         num_candidates_examined=examined,
         num_bad_found=bad_found,
-        exhaustive_certificate=certificate,
-        budget_exhausted=exhausted,
+        exhaustive_certificate=exhaustive,
+        budget_exhausted=not exhaustive,
     )
 
 
@@ -211,67 +208,55 @@ def _extension_keys(m: int, base: list[Triple],
             for t, tbits in zip(iter_all_triples(m), bits) if not masks[0] & tbits[0]]
 
 
-def _search_local(cfg: SearchConfig, star: ThreeGraph,
-                  best: _Best) -> tuple[int, int, bool]:
+def _grow(p: Palette, order: Iterable[Triple], star: ThreeGraph, node_budget: int) -> Palette:
+    """One pass over order: add each absent triple that keeps p bad.
+
+    When order holds every triple the result is maximal bad: a rejected triple
+    stays rejected (supersets of good palettes are good), so no second pass.
+    """
+    for t in order:
+        if t not in p.triples:
+            trial = p.with_triple(t)
+            if is_bad(trial, star, node_budget=node_budget):
+                p = trial
+    return p
+
+
+def _search_local(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[int, int]:
     """Randomized greedy growth with restarts.
 
-    Each restart grows the empty palette by shuffled triple insertions that
-    keep it bad, reaching a maximal bad palette; the incumbent objective is
-    non-decreasing within a restart since insertions only add slice counts.
-    The iteration budget counts badness tests.
+    Each restart grows the empty palette in one pass over the shuffled
+    triples, reaching a maximal bad palette unless the budget cuts the pass
+    short.  The iteration budget counts badness tests, each accepted one a
+    bad palette found.
     """
     rng = random.Random(cfg.seed)
     universe = list(iter_all_triples(cfg.num_colors))
-    examined = bad_found = 0
-    exhausted = False
-    best.offer(Palette.empty(cfg.num_colors))
-    bad_found += 1
-    while not exhausted:
-        current = Palette.empty(cfg.num_colors)
-        candidates = universe.copy()
-        rng.shuffle(candidates)
-        progress = True
-        while progress:
-            progress = False
-            rejected = []
-            for t in candidates:
-                if examined >= cfg.iteration_budget:
-                    exhausted = True
-                    break
-                trial = current.with_triple(t)
-                examined += 1
-                if is_bad(trial, star, node_budget=cfg.node_budget):
-                    bad_found += 1
-                    current = trial
-                    progress = True
-                else:
-                    rejected.append(t)
-            if exhausted:
-                break
-            candidates = rejected
-        best.offer(current)
-    return examined, bad_found, exhausted
+    empty = Palette.empty(cfg.num_colors)
+    examined, bad_found = 0, 1
+    best.offer(empty)
+    while examined < cfg.iteration_budget:
+        order = universe.copy()
+        rng.shuffle(order)
+        order = order[:cfg.iteration_budget - examined]
+        grown = _grow(empty, order, star, cfg.node_budget)
+        examined += len(order)
+        bad_found += len(grown.triples)
+        best.offer(grown)
+    return examined, bad_found
 
 
 def maximal_bad_extensions(p: Palette, k: int, *,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
     """Greedily extend a bad palette to a maximal bad palette.
 
-    Triples are tried in lexicographic order; one pass suffices because a
-    rejected triple stays rejected (supersets of good palettes are good).
+    Triples are tried once each, in lexicographic order (see `_grow`).
     Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
     if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; nothing to extend")
-    current = p
-    for t in iter_all_triples(p.num_colors):
-        if t in current.triples:
-            continue
-        trial = current.with_triple(t)
-        if is_bad(trial, star, node_budget=node_budget):
-            current = trial
-    return current
+    return _grow(p, iter_all_triples(p.num_colors), star, node_budget)
 
 
 @dataclass(frozen=True)
@@ -307,15 +292,9 @@ def minimalize(p: Palette, k: int, *,
 def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,
                                node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
     """Grow the empty palette by shuffled insertions until maximal bad."""
-    star = make_star(k)
-    current = Palette.empty(num_colors)
     triples = list(iter_all_triples(num_colors))
     rng.shuffle(triples)
-    for t in triples:
-        trial = current.with_triple(t)
-        if is_bad(trial, star, node_budget=node_budget):
-            current = trial
-    return current
+    return _grow(Palette.empty(num_colors), triples, make_star(k), node_budget)
 
 
 def random_bad_palette(k: int, num_colors: int, rng: random.Random, *,

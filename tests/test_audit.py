@@ -186,6 +186,9 @@ def test_policy_data_matches_arc_reference():
             report = audit_chain(p, k)
             assert report.policies == tuple(_arc_reference(p, policy, k)
                                             for policy in AuxPolicy), (k, p)
+            lit, obs = report.policies
+            assert (obs.m_d1, obs.d1_tk_free, obs.m_d2, obs.d2_tk_free) == (
+                lit.m_d2, lit.d2_tk_free, lit.m_d1, lit.d1_tk_free)
             seen.update((pd.loop_vertex is None, pd.d_tk_free, pd.d1_tk_free,
                          pd.d2_tk_free, pd.d1_tk_free != pd.d2_tk_free)
                         for pd in report.policies)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -116,6 +117,21 @@ def test_tk_find(tmp_path):
     assert run("tk-find", str(path), "--k", "4").stdout == "absent\n"
     doc = json.loads(run("tk-find", str(path), "--k", "4", "--json").stdout)
     assert doc["witness"] is None
+
+
+def test_tk_find_deeper_than_recursion_limit(tmp_path, capsys):
+    n = 400
+    path = tmp_path / "chain.dig"
+    path.write_text(f"digraph {n}\n" + "".join(f"{u} {v}\n" for u in range(n)
+                                                for v in range(u + 1, n)))
+    # The DFS goes n levels deep; the limit leaves 100 frames above this one.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert main(["tk-find", str(path), "--k", str(n)]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out == "witness " + " ".join(map(str, range(n))) + "\n"
 
 
 def test_turan_number():

@@ -204,6 +204,10 @@ def test_find_transitive_tournament():
     assert find_transitive_tournament(cycle, 1) == (0,)
     with pytest.raises(ValueError, match="k must be positive"):
         find_transitive_tournament(cycle, 0)
+    # T_1100 is deeper than the default recursion limit.
+    n = 1100
+    big = Digraph.from_masks(n, [((1 << n) - 1) ^ ((1 << (v + 1)) - 1) for v in range(n)])
+    assert find_transitive_tournament(big, n) == tuple(range(n))
 
 
 def test_loops_do_not_create_tournaments():

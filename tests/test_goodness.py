@@ -160,6 +160,17 @@ def test_node_budget_exhaustion():
         is_good(p, make_star(5), node_budget=1)
 
 
+@pytest.mark.parametrize("m, k, nodes", [(4, 5, 633), (5, 6, 6331)])
+def test_star_verdict_charges_one_node_per_tk_search_node(m, k, nodes):
+    # The lower-bound palette P_k: loopless aux digraph, T_k-free, so bad.
+    p = Palette(m, [(a, b, c) for (a, b, c) in iter_all_triples(m)
+                    if a != b and b != c and c != (a + 1) % m])
+    star = make_star(k)
+    assert is_bad(p, star, node_budget=len(p.triples) + nodes)
+    with pytest.raises(BudgetExceeded):
+        is_bad(p, star, node_budget=len(p.triples) + nodes - 1)
+
+
 def test_brute_force_cap():
     with pytest.raises(EnumerationCapExceeded):
         brute_force_is_good(Palette.full(3), make_star(5))

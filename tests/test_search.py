@@ -8,7 +8,8 @@ from starpal import (Palette, SearchConfig, brute_force_is_good, canonical_form,
                      minimalize, random_bad_palette, random_maximal_bad_palette,
                      search)
 from starpal.palette import _mask_triples, _relabeled_masks
-from starpal.search import _extension_keys
+from starpal.goodness import DEFAULT_NODE_BUDGET
+from starpal.search import _extension_keys, _grow
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -121,16 +122,43 @@ def test_local_mode_seed_changes_trajectory():
         assert is_good(report.best_palette, make_star(3)) is None
 
 
+@pytest.mark.parametrize("k, m, restarts", [(3, 2, 7), (4, 3, 3), (5, 3, 3)])
+def test_local_restarts_are_single_pass_random_maximal_palettes(k, m, restarts):
+    # A budget of restarts * m^3 tests fits exactly that many full passes, and
+    # each restart consumes the rng as random_maximal_bad_palette does.
+    report = search(SearchConfig(k=k, num_colors=m, objective="density", mode="local",
+                                 seed=1, iteration_budget=restarts * m ** 3))
+    rng = random.Random(1)
+    grown = [random_maximal_bad_palette(k, m, rng) for _ in range(restarts)]
+    assert report.num_candidates_examined == restarts * m ** 3
+    assert report.num_bad_found == 1 + sum(len(p.triples) for p in grown)
+    assert report.best_objective == max(p.density for p in grown)
+
+
+def _assert_maximal_bad(p, star):
+    assert is_good(p, star) is None
+    for t in iter_all_triples(p.num_colors):
+        if t not in p.triples:
+            assert is_good(p.with_triple(t), star) is not None, t
+
+
 def test_maximal_bad_extensions():
     extended = maximal_bad_extensions(Palette.empty(2), 3)
-    star = make_star(3)
-    assert is_good(extended, star) is None
-    for t in iter_all_triples(2):
-        if t not in extended.triples:
-            assert is_good(extended.with_triple(t), star) is not None
+    _assert_maximal_bad(extended, make_star(3))
     assert maximal_bad_extensions(OPTIMUM, 3) == OPTIMUM
     with pytest.raises(ValueError):
         maximal_bad_extensions(Palette.full(2), 3)
+    rng = random.Random(5)
+    for k in (3, 4, 5):
+        star = make_star(k)
+        for _ in range(3):
+            base = random_bad_palette(k, 3, rng)
+            extended = maximal_bad_extensions(base, k)
+            assert base.triples <= extended.triples
+            _assert_maximal_bad(extended, star)
+            order = list(iter_all_triples(3))
+            rng.shuffle(order)
+            _assert_maximal_bad(_grow(base, order, star, DEFAULT_NODE_BUDGET), star)
 
 
 def test_minimalize_reference_palette():
