@@ -237,21 +237,18 @@ def audit_chain(p: Palette, k: int, *,
     step compares two integers over one positive denominator.  Fractions are
     built only for the reported fields.
 
-    node_budget bounds the verdict only, charged as `is_bad` charges it: |P|,
-    plus the LITERAL D's T_k search when D has no loop.  The block searches,
-    the OBSERVATION D's and a looped LITERAL D's run without a bound.
+    node_budget bounds the whole audit: one budget is charged |P| and one per
+    node of the four T_k searches (the blocks D1, D2 and D under each rule set).
+    A smaller budget raises BudgetExceeded, and one below 1 ValueError.
     """
     if k < 5:
         raise ValueError(f"the audited chain needs k >= 5, got {k}")
+    spend = _Budget(node_budget).spend
     n = p.num_colors
     stats = compute_stats(p)
     t = stats.num_triples
+    spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
-    # The verdict is the LITERAL D's (no loop, no T_k), charged as `is_bad` charges
-    # it: |P| here, then its T_k search when D has no loop.  P = {} charges nothing.
-    spend = _Budget(node_budget).spend if t else None
-    if spend:
-        spend(t)
     xs = _x_sets(p, stats)
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
@@ -324,23 +321,22 @@ def audit_chain(p: Palette, k: int, *,
     # blocks are the (2,3)- and (1,2)-projection digraphs, OBSERVATION's the
     # same two swapped, so each block is sliced, measured and searched once.
     literal = aux_digraph(p, AuxPolicy.LITERAL)
-    blocks = [(degree_stats(g, tau), _find_tk(g.out, n, k) is None) for g in (
+    blocks = [(degree_stats(g, tau), _find_tk(g.out, n, k, spend) is None) for g in (
         Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in literal.out[:n]]),
         Digraph.from_masks(n, [mask >> n for mask in literal.out[n:]]))]
     policy_data = []
-    for policy, dig, spend, ((st_d1, tk_d1), (st_d2, tk_d2)) in (
-            (AuxPolicy.LITERAL, literal, spend, blocks),
-            (AuxPolicy.OBSERVATION, aux_digraph(p, AuxPolicy.OBSERVATION), None, blocks[::-1])):
+    for policy, dig, ((st_d1, tk_d1), (st_d2, tk_d2)) in (
+            (AuxPolicy.LITERAL, literal, blocks),
+            (AuxPolicy.OBSERVATION, aux_digraph(p, AuxPolicy.OBSERVATION), blocks[::-1])):
         suffix = policy.value
         st_d = degree_stats(dig, tau)
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(st.out_degrees, st.in_degrees)]
                      for st in (st_d, st_d1, st_d2))
-        loop = has_loop(dig)
-        tk_d = _find_tk(dig.out, 2 * n, k, spend if loop is None else None) is None
+        tk_d = _find_tk(dig.out, 2 * n, k, spend) is None
         policy_data.append(PolicyData(
             policy=policy,
-            loop_vertex=loop,
+            loop_vertex=has_loop(dig),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
             m_d=tuple(fr[v, 2 * n] for v in x),
             m_d1=tuple(fr[v, n] for v in y1),

@@ -198,6 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     min_k = VERIFY_MIN_K[args.lemma]
     if args.k < min_k:
         raise ValueError(f"{args.lemma} needs k >= {min_k}")
+    if args.tau is not None and args.lemma != "tk-square":
+        raise ValueError(f"--tau applies to tk-square only, not {args.lemma}")
     first_n = args.k if args.lemma == "brown-harary" else 1
     if args.max_n < first_n:
         raise ValueError(f"--max-n {args.max_n} leaves nothing to check: "
@@ -377,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--kv", action="store_true", help="machine-readable per-step lines")
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                    help="bounds the bad verdict only: |P| plus the loopless LITERAL "
-                         "aux digraph's T_k search; the other T_k searches are unbounded")
+                    help="bounds the whole audit: |P| plus the nodes of its four "
+                         "T_k searches (blocks D1, D2 and D under each policy)")
     add_common(sp, json_group=fmt)
     sp.set_defaults(func=cmd_audit)
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from operator import or_
 from typing import Callable, Iterable, Optional
 
-from .audit import minimality_check
 from .errors import EnumerationCapExceeded
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph,
                        brute_force_is_good, is_bad, make_star)
@@ -55,6 +54,8 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.iteration_budget < 1 or self.node_budget < 1:
             raise ValueError("budgets must be positive")
+        if self.mode == "local" and (self.dedup or self.allow_large_exhaustive):
+            raise ValueError("dedup and allow_large_exhaustive apply to exhaustive mode only")
         if self.mode == "exhaustive" and self.num_colors > MAX_PLAIN_EXHAUSTIVE_COLORS:
             if not (self.num_colors == 3 and self.dedup and self.allow_large_exhaustive):
                 raise ValueError(
@@ -271,7 +272,8 @@ def minimalize(p: Palette, k: int, *,
 
     Badness is preserved under color removal (any witness for the smaller
     palette lifts to the larger one); each removal asserts it as a
-    cross-check.  Raises ValueError when p is not S_k-bad.
+    cross-check.  It ends minimal: at one color, or when every removal
+    strictly decreases density.  Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
     if not is_bad(p, star, node_budget=node_budget):
@@ -286,7 +288,7 @@ def minimalize(p: Palette, k: int, *,
                 break
         else:
             break
-    return MinimalizeResult(current, minimality_check(current).is_minimal)
+    return MinimalizeResult(current, True)
 
 
 def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, audit_chain,
                      audit_to_json, audit_to_jsonable, aux_digraph, claim_check, f_values,
                      find_transitive_tournament, format_audit_kv, format_audit_text,
-                     g_inequality_check, is_good, iter_all_triples, make_star,
-                     minimality_check, stars_bounds, target_density, x_sets)
+                     g_inequality_check, is_bad, is_good, iter_all_triples, make_star,
+                     minimality_check, serialize_palette, stars_bounds, target_density,
+                     x_sets)
 from starpal.audit import GEntry
+from starpal.cli import main
+from starpal.digraphs import _find_tk
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -103,12 +106,18 @@ def test_audit_chain_low_degree_premise():
     assert report.premised_steps_hold
 
 
-def _arc_reference(p, policy, k):
-    """PolicyData rebuilt from the arc set of the aux digraph, not its out-masks."""
+def _arc_digraphs(p, policy):
+    """The aux digraph D and its blocks D1, D2, rebuilt from D's arc set, not its out-masks."""
     n = p.num_colors
     arcs = aux_digraph(p, policy).arcs
-    block1 = Digraph(n, [(u, v) for (u, v) in arcs if u < n and v < n])
-    block2 = Digraph(n, [(u - n, v - n) for (u, v) in arcs if u >= n and v >= n])
+    return (Digraph(2 * n, arcs),
+            Digraph(n, [(u, v) for (u, v) in arcs if u < n and v < n]),
+            Digraph(n, [(u - n, v - n) for (u, v) in arcs if u >= n and v >= n]))
+
+
+def _arc_reference(p, policy, k):
+    """PolicyData rebuilt from the arc set of the aux digraph, not its out-masks."""
+    whole, block1, block2 = _arc_digraphs(p, policy)
 
     def m_values(d):
         size = d.num_vertices
@@ -119,25 +128,26 @@ def _arc_reference(p, policy, k):
     def tk_free(d):
         return find_transitive_tournament(d, k) is None
 
-    whole = Digraph(2 * n, arcs)
-    loops = [u for (u, v) in arcs if u == v]
+    loops = [u for (u, v) in whole.arcs if u == v]
     return PolicyData(policy, min(loops) if loops else None,
                       tk_free(whole), tk_free(block1), tk_free(block2),
                       m_values(whole), m_values(block1), m_values(block2))
 
 
-def _budget_outcome(decide):
-    """decide()'s verdict, or the kind and message of its budget error."""
-    try:
-        return decide()
-    except (BudgetExceeded, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+def _audit_charge(p, k):
+    """|P| plus the nodes of the audit's four T_k searches (D1, D2, then D under
+    each rule set), counted by a counting spend on digraphs rebuilt from arcs."""
+    spent = [len(p.triples)]
+    literal, block1, block2 = _arc_digraphs(p, AuxPolicy.LITERAL)
+    for d in (block1, block2, literal, _arc_digraphs(p, AuxPolicy.OBSERVATION)[0]):
+        _find_tk(d.out, d.num_vertices, k, spent.append)
+    return sum(spent)
 
 
-def test_audit_budget_matches_is_good():
-    # P_4 and P_5 have no loop (P_5's T_5 search spends 660 nodes at k = 5),
-    # the m = 5 lower-bound palette is good through a T_5, and the full and
-    # random palettes have loops, so they are charged |P| alone.
+def test_audit_budget_bounds_every_tk_search():
+    # P_4 and P_5 have no loop, the m = 5 lower-bound palette is good through
+    # a T_5, and the full and random palettes have loops; the empty palette is
+    # charged its searches alone.
     p4, p5, p6 = ([(a, b, c) for (a, b, c) in iter_all_triples(m)
                    if a != b and b != c and c != (a + 1) % m] for m in (3, 4, 5))
     rng = random.Random(3)
@@ -145,21 +155,35 @@ def test_audit_budget_matches_is_good():
                 Palette.empty(3)]
     palettes += [Palette(m, [t for t in iter_all_triples(m) if rng.random() < 0.3])
                  for m in (3, 4, 4)]
-    kinds = set()
+    verdicts = set()
     for p in palettes:
         for k in (5, 6):
-            if p.num_colors == 5 and k == 6:
-                continue  # a bad verdict that spends 6,396 nodes
-            star = make_star(k)
-            budget, settled = 0, 0
-            while settled < 3:
-                want = _budget_outcome(lambda: is_good(p, star, node_budget=budget) is None)
-                got = _budget_outcome(lambda: audit_chain(p, k, node_budget=budget).is_bad)
-                assert got == want, (p, k, budget)
-                kinds.add(want if isinstance(want, bool) else want[0])
-                settled += isinstance(want, bool)
-                budget += 1
-    assert kinds == {True, False, "BudgetExceeded", "ValueError"}
+            budget = _audit_charge(p, k)
+            report = audit_chain(p, k, node_budget=budget)
+            assert report.is_bad == is_bad(p, make_star(k)), (p, k)
+            verdicts.add(report.is_bad)
+            with pytest.raises(BudgetExceeded):
+                audit_chain(p, k, node_budget=budget - 1)
+            with pytest.raises(ValueError):
+                audit_chain(p, k, node_budget=0)
+    assert verdicts == {True, False}
+
+
+def test_audit_budget_bounds_looped_palette(tmp_path, capsys):
+    # The m = 7 lower-bound palette plus a loop triple: good through the loop
+    # at |P| = 218 checks, while the audit's T_k searches take 2,127,246 nodes.
+    m = 7
+    p = Palette(m, [(a, b, c) for (a, b, c) in iter_all_triples(m)
+                    if a != b and b != c and c != (a + 1) % m] + [(0, 2, 2)])
+    assert is_good(p, make_star(8), node_budget=300) is not None
+    with pytest.raises(BudgetExceeded):
+        audit_chain(p, 8, node_budget=300)
+    path = tmp_path / "looped.pal"
+    path.write_text(serialize_palette(p))
+    assert main(["audit", str(path), "--star", "8", "--node-budget", "300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: node budget exhausted")
 
 
 def test_policy_data_matches_arc_reference():

@@ -234,7 +234,14 @@ def test_usage_error_exits_2():
                  # --max-n below the first n of the sweep leaves nothing to check.
                  ("verify", "--lemma", "brown-harary", "--max-n", "2", "--k", "3"),
                  ("verify", "--lemma", "tk-square", "--max-n", "0", "--k", "4"),
-                 ("verify", "--lemma", "caro-wei", "--max-n", "-1", "--k", "3")):
+                 ("verify", "--lemma", "caro-wei", "--max-n", "-1", "--k", "3"),
+                 # --tau and the exhaustive-only knobs are refused where they would be ignored.
+                 ("verify", "--lemma", "caro-wei", "--max-n", "2", "--k", "3", "--tau", "1/2"),
+                 ("verify", "--lemma", "brown-harary", "--max-n", "4", "--k", "3",
+                  "--tau", "garbage"),
+                 ("search", "--star", "3", "--colors", "2", "--mode", "local", "--dedup"),
+                 ("search", "--star", "3", "--colors", "2", "--mode", "local",
+                  "--allow-large-exhaustive")):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")

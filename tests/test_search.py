@@ -5,8 +5,8 @@ import pytest
 
 from starpal import (Palette, SearchConfig, brute_force_is_good, canonical_form,
                      is_good, iter_all_triples, make_star, maximal_bad_extensions,
-                     minimalize, random_bad_palette, random_maximal_bad_palette,
-                     search)
+                     minimality_check, minimalize, random_bad_palette,
+                     random_maximal_bad_palette, search)
 from starpal.palette import _mask_triples, _relabeled_masks
 from starpal.goodness import DEFAULT_NODE_BUDGET
 from starpal.search import _extension_keys, _grow
@@ -27,6 +27,9 @@ def test_config_validation():
         SearchConfig(k=3, num_colors=2, objective="size", mode="exhaustive")
     with pytest.raises(ValueError):
         SearchConfig(k=1, num_colors=2, objective="density", mode="exhaustive")
+    for knob in ("dedup", "allow_large_exhaustive"):
+        with pytest.raises(ValueError):
+            SearchConfig(k=3, num_colors=2, objective="density", mode="local", **{knob: True})
 
 
 def test_exhaustive_two_colors():
@@ -175,6 +178,19 @@ def test_minimalize_drops_unused_color():
     assert result.palette.density == Fraction(1, 4)
     with pytest.raises(ValueError):
         minimalize(Palette.full(2), 3)
+
+
+def test_minimalize_agrees_with_minimality_check():
+    rng = random.Random(5)
+    shrunk = 0
+    for k in (3, 4, 5):
+        for m in range(1, 5):
+            for _ in range(3):
+                result = minimalize(random_bad_palette(k, m, rng), k)
+                assert result.is_minimal
+                assert minimality_check(result.palette).is_minimal
+                shrunk += result.palette.num_colors < m
+    assert shrunk
 
 
 def test_random_bad_palettes_are_bad():
