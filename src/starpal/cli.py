@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dedup", action="store_true",
                     help="deduplicate palettes by canonical form")
     sp.add_argument("--allow-large-exhaustive", action="store_true",
-                    help="permit the 3-color exhaustive sweep (requires --dedup)")
+                    help="permit the 3-color exhaustive sweep (requires --colors 3 and --dedup)")
     add_common(sp)
     sp.set_defaults(func=cmd_search)
 

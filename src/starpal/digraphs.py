@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
-from .palette import Palette, _all_in_range, _read_records
+from .palette import Palette, Triple, _all_in_range, _read_records
 
 Arc = tuple[int, int]
 
@@ -119,32 +119,47 @@ def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
     """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
 
     Vertex a in the first block is index a; in the second block, index m + a.
-    One pass over the triples: a triple (x, y, z) gives the block arcs of its
-    (2,3) and (1,2) projections (which block gets which is the policy) and
-    both cross arcs of its (1,3) projection.
+    Its out-masks are `_aux_masks(m, p.triples, policy)`.
     """
     m = p.num_colors
-    out = [0] * (2 * m)
+    return Digraph.from_masks(2 * m, _aux_masks(m, p.triples, policy))
+
+
+def _aux_masks(m: int, triples: Iterable[Triple], policy: AuxPolicy = AuxPolicy.LITERAL,
+               out: Sequence[int] = ()) -> list[int]:
+    """Aux out-masks of `triples` on m colors, OR-ed into a copy of out if given.
+
+    One pass over the triples: a triple (x, y, z) gives the block arcs of its
+    (2,3) and (1,2) projections (which block gets which is the policy) and
+    both cross arcs of its (1,3) projection.  Arcs only accumulate, so the
+    masks of a palette extend to those of any superset.
+    """
+    out = list(out) or [0] * (2 * m)
     if policy is AuxPolicy.LITERAL:
-        for (x, y, z) in p.triples:
+        for (x, y, z) in triples:
             out[y] |= 1 << z
             out[m + x] |= 1 << (m + y)
             out[x] |= 1 << (m + z)
             out[m + z] |= 1 << x
     elif policy is AuxPolicy.OBSERVATION:
-        for (x, y, z) in p.triples:
+        for (x, y, z) in triples:
             out[x] |= 1 << y
             out[m + y] |= 1 << (m + z)
             out[x] |= 1 << (m + z)
             out[m + z] |= 1 << x
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    return Digraph.from_masks(2 * m, out)
+    return out
 
 
 def has_loop(d: Digraph) -> Optional[int]:
     """The least vertex carrying a loop, or None."""
-    return next((v for v, mask in enumerate(d.out) if mask >> v & 1), None)
+    return _loop_vertex(d.out)
+
+
+def _loop_vertex(out: Sequence[int]) -> Optional[int]:
+    """The least vertex v with bit v of out[v] set, or None."""
+    return next((v for v, mask in enumerate(out) if mask >> v & 1), None)
 
 
 def _find_tk(out: Sequence[int], n: int, k: int,

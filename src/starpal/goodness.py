@@ -15,9 +15,11 @@ needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
 bidirected, so any T_k can be reordered with its block-1 vertices first; a
 loop lets every leaf take its color on one side of the apex.  That loop or
 T_k, read from the out-masks, is the certificate: `is_bad` stops there, and
-`is_good` builds and verifies a witness from it.  Any other 3-graph goes to
-a sweep over all orderings with a backtracking pair-coloring search.
-`brute_force_is_good`, a cap-guarded full enumeration, is the oracle.
+`is_good` builds and verifies a witness from it.  The searches call
+`_star_certificate` on a base palette's masks with one triple's arcs OR-ed
+in.  Any other 3-graph goes to a sweep over all orderings with a
+backtracking pair-coloring search.  `brute_force_is_good`, a cap-guarded
+full enumeration, is the oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from .digraphs import AuxPolicy, _find_tk, aux_digraph, has_loop
+from .digraphs import _aux_masks, _find_tk, _loop_vertex
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .palette import Palette, _read_records
 
@@ -224,7 +226,8 @@ def is_good(p: Palette, f: ThreeGraph, *,
     budget = _Budget(node_budget)
     apex = star_apex(f)
     if apex is not None:
-        verts = _star_certificate(p, f.num_vertices - 1, budget)
+        verts = _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
+                                  f.num_vertices - 1, budget)
         w = None if verts is None else _star_witness(p, f, apex, verts)
         assert w is None or verify_witness(p, f, w)
         return w
@@ -242,24 +245,29 @@ def is_bad(p: Palette, f: ThreeGraph, *, node_budget: int = DEFAULT_NODE_BUDGET)
     """`is_good(p, f) is None`, decided and charged as there; a star's verdict
     stops at `_star_certificate` and builds no witness."""
     if p.triples and star_apex(f) is not None:
-        return _star_certificate(p, f.num_vertices - 1, _Budget(node_budget)) is None
+        return _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
+                                 f.num_vertices - 1, _Budget(node_budget)) is None
     return is_good(p, f, node_budget=node_budget) is None
 
 
-def _star_certificate(p: Palette, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
-    """Aux vertices for a star's k leaves, None when p is S_k-bad: a loop of
-    `aux_digraph(p, LITERAL)` k times, or a T_k block-1 first, arcs checked."""
-    m = p.num_colors
-    budget.spend(len(p.triples))
-    d = aux_digraph(p, AuxPolicy.LITERAL)
-    loop = has_loop(d)
+def _star_certificate(out: Sequence[int], size: int, k: int,
+                      budget: _Budget) -> Optional[tuple[int, ...]]:
+    """Aux vertices for a star's k leaves, None when the palette is S_k-bad.
+
+    out holds the LITERAL aux out-masks of a palette of `size` triples (see
+    `_aux_masks`).  Charges size, then returns a loop k times or a T_k block-1
+    first, arcs checked; the T_k search charges one per node.
+    """
+    budget.spend(size)
+    loop = _loop_vertex(out)
     if loop is not None:
         return (loop,) * k
-    tk = _find_tk(d.out, 2 * m, k, budget.spend)
+    tk = _find_tk(out, len(out), k, budget.spend)
     if tk is None:
         return None
+    m = len(out) // 2
     verts = tuple(sorted(tk, key=lambda v: v >= m))
-    assert len(verts) == k and all(d.out[u] >> v & 1 for u, v in itertools.combinations(verts, 2))
+    assert len(verts) == k and all(out[u] >> v & 1 for u, v in itertools.combinations(verts, 2))
     return verts
 
 

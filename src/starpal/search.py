@@ -5,8 +5,10 @@ palettes can carry the best objective value.  The exhaustive engine sweeps
 every palette on a fixed color count (optionally deduplicating by canonical
 form: one palette per color-relabeling class); the local engine restarts
 randomized greedy growth.  Every maximal bad palette is grown by `_grow`,
-one pass over a triple order.  All of them ask `is_bad`, which builds no
-witness.  Reported optima are re-verified bad, by brute force within its cap.
+one pass over a triple order.  The breadth-first sweep and `_grow` decide a
+bad base plus one triple by `_bad_extension`, from the base's aux masks with
+the triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
+digraph.  Reported optima are re-verified bad, by brute force within its cap.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
-from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph,
-                       brute_force_is_good, is_bad, make_star)
+from .digraphs import _aux_masks
+from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph, _Budget,
+                       _star_certificate, brute_force_is_good, is_bad, make_star)
 from .palette import (Palette, Triple, _mask_triples, _relabeled_masks, canonical_form,
                       compute_stats, iter_all_triples, remove_color)
 
@@ -56,6 +59,8 @@ class SearchConfig:
             raise ValueError("budgets must be positive")
         if self.mode == "local" and (self.dedup or self.allow_large_exhaustive):
             raise ValueError("dedup and allow_large_exhaustive apply to exhaustive mode only")
+        if self.allow_large_exhaustive and self.num_colors != 3:
+            raise ValueError("allow_large_exhaustive applies to 3-color exhaustive mode only")
         if self.mode == "exhaustive" and self.num_colors > MAX_PLAIN_EXHAUSTIVE_COLORS:
             if not (self.num_colors == 3 and self.dedup and self.allow_large_exhaustive):
                 raise ValueError(
@@ -117,7 +122,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     best = _Best(objective)
     exhaustive = cfg.mode == "exhaustive"
     engine = _search_exhaustive if exhaustive else _search_local
-    examined, bad_found = engine(cfg, star, best)
+    examined, bad_found = engine(cfg, best)
     assert best.palette is not None  # the empty palette is always S_k-bad
     _verify_bad(best.palette, star, cfg.node_budget)
     return SearchReport(
@@ -142,38 +147,38 @@ def _verify_bad(p: Palette, star: ThreeGraph, node_budget: int) -> None:
         raise RuntimeError("internal error: brute-force oracle disagrees on reported optimum")
 
 
-def _search_exhaustive(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[int, int]:
+def _search_exhaustive(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     if cfg.dedup:
-        return _sweep_canonical(cfg, star, best)
-    universe = list(iter_all_triples(cfg.num_colors))
+        return _sweep_canonical(cfg, best)
+    m = cfg.num_colors
+    universe = list(iter_all_triples(m))
     examined = bad_found = 0
     for bits in range(1 << len(universe)):
-        p = Palette(cfg.num_colors, frozenset(
-            universe[i] for i in range(len(universe)) if (bits >> i) & 1))
+        chosen = [universe[i] for i in range(len(universe)) if (bits >> i) & 1]
         examined += 1
-        if is_bad(p, star, node_budget=cfg.node_budget):
+        # As in is_bad: the empty palette is bad at no charge.
+        if not chosen or _star_certificate(_aux_masks(m, chosen), len(chosen), cfg.k,
+                                           _Budget(cfg.node_budget)) is None:
             bad_found += 1
-            best.offer(p)
+            best.offer(Palette(m, frozenset(chosen)))
     return examined, bad_found
 
 
-def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[int, int]:
+def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     """Breadth-first sweep of canonical bad palettes, one per relabeling class.
 
     Badness is closed downward, so every bad palette with t+1 triples is a
     bad t-triple palette plus one triple; growing each canonical bad palette
     by every absent triple and canonicalizing reaches every class exactly
     once.  Good extensions are pruned (supersets of good palettes are good).
-    Classes are canonical masks (see `canonical_form`), and a Palette is built
-    only for each class examined.
+    Classes are canonical masks (see `canonical_form`).  Each base's aux masks
+    are built once and every extension is decided from them by
+    `_bad_extension`; a Palette is built only for the bad ones, as incumbent
+    offers.
     """
     m = cfg.num_colors
-    empty = Palette.empty(m)
-    examined, bad_found = 1, 0
-    if not is_bad(empty, star, node_budget=cfg.node_budget):
-        return examined, bad_found  # cannot happen for k >= 2; defensive
-    bad_found += 1
-    best.offer(empty)
+    examined, bad_found = 1, 1  # the empty palette is bad
+    best.offer(Palette.empty(m))
     bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
     level = {0}  # the empty palette's mask
     seen_good: set[int] = set()
@@ -181,15 +186,16 @@ def _sweep_canonical(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[
         next_level: set[int] = set()
         for key in sorted(level, reverse=True):  # one size: ascending triple lists
             base = _mask_triples(m, key)
+            out = _aux_masks(m, base)
             for t, ckey in _extension_keys(m, base, bits):
                 if ckey in next_level or ckey in seen_good:
                     continue
                 examined += 1
-                cand = Palette(m, frozenset(base + [t]))
-                if is_bad(cand, star, node_budget=cfg.node_budget):
+                if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is not None:
                     next_level.add(ckey)
                     bad_found += 1
-                    best.offer(cand, tuple(_mask_triples(m, ckey)))
+                    best.offer(Palette(m, frozenset(base + [t])),
+                               tuple(_mask_triples(m, ckey)))
                 else:
                     seen_good.add(ckey)
         level = next_level
@@ -209,21 +215,40 @@ def _extension_keys(m: int, base: list[Triple],
             for t, tbits in zip(iter_all_triples(m), bits) if not masks[0] & tbits[0]]
 
 
-def _grow(p: Palette, order: Iterable[Triple], star: ThreeGraph, node_budget: int) -> Palette:
-    """One pass over order: add each absent triple that keeps p bad.
+def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
+                   node_budget: int) -> Optional[list[int]]:
+    """The aux masks of base + t when that palette is S_k-bad, else None.
 
-    When order holds every triple the result is maximal bad: a rejected triple
+    out holds the LITERAL aux masks of a base of `size` triples and t is
+    absent from it.  The verdict and its charge (a fresh budget, |base| + 1
+    and one per T_k node) are those of `is_bad(base.with_triple(t), S_k)`.
+    """
+    trial = _aux_masks(len(out) // 2, [t], out=out)
+    if _star_certificate(trial, size + 1, k, _Budget(node_budget)) is None:
+        return trial
+    return None
+
+
+def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Palette:
+    """One pass over order: add each absent triple that keeps p S_k-bad.
+
+    The grown palette's aux masks are kept and each trial is decided from
+    them by `_bad_extension`; the result is built as a Palette once.  When
+    order holds every triple the result is maximal bad: a rejected triple
     stays rejected (supersets of good palettes are good), so no second pass.
     """
+    triples = set(p.triples)
+    out = _aux_masks(p.num_colors, triples)
     for t in order:
-        if t not in p.triples:
-            trial = p.with_triple(t)
-            if is_bad(trial, star, node_budget=node_budget):
-                p = trial
-    return p
+        if t not in triples:
+            trial = _bad_extension(out, len(triples), t, k, node_budget)
+            if trial is not None:
+                triples.add(t)
+                out = trial
+    return Palette(p.num_colors, frozenset(triples))
 
 
-def _search_local(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[int, int]:
+def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     """Randomized greedy growth with restarts.
 
     Each restart grows the empty palette in one pass over the shuffled
@@ -240,7 +265,7 @@ def _search_local(cfg: SearchConfig, star: ThreeGraph, best: _Best) -> tuple[int
         order = universe.copy()
         rng.shuffle(order)
         order = order[:cfg.iteration_budget - examined]
-        grown = _grow(empty, order, star, cfg.node_budget)
+        grown = _grow(empty, order, cfg.k, cfg.node_budget)
         examined += len(order)
         bad_found += len(grown.triples)
         best.offer(grown)
@@ -257,7 +282,7 @@ def maximal_bad_extensions(p: Palette, k: int, *,
     star = make_star(k)
     if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; nothing to extend")
-    return _grow(p, iter_all_triples(p.num_colors), star, node_budget)
+    return _grow(p, iter_all_triples(p.num_colors), k, node_budget)
 
 
 @dataclass(frozen=True)
@@ -296,7 +321,7 @@ def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,
     """Grow the empty palette by shuffled insertions until maximal bad."""
     triples = list(iter_all_triples(num_colors))
     rng.shuffle(triples)
-    return _grow(Palette.empty(num_colors), triples, make_star(k), node_budget)
+    return _grow(Palette.empty(num_colors), triples, k, node_budget)
 
 
 def random_bad_palette(k: int, num_colors: int, rng: random.Random, *,

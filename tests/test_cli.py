@@ -241,7 +241,8 @@ def test_usage_error_exits_2():
                   "--tau", "garbage"),
                  ("search", "--star", "3", "--colors", "2", "--mode", "local", "--dedup"),
                  ("search", "--star", "3", "--colors", "2", "--mode", "local",
-                  "--allow-large-exhaustive")):
+                  "--allow-large-exhaustive"),
+                 ("search", "--star", "3", "--colors", "2", "--allow-large-exhaustive")):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")

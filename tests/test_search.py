@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from starpal import (Palette, SearchConfig, brute_force_is_good, canonical_form,
-                     is_good, iter_all_triples, make_star, maximal_bad_extensions,
+from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digraph,
+                     brute_force_is_good, canonical_form, has_loop, is_bad, is_good,
+                     iter_all_triples, make_star, maximal_bad_extensions,
                      minimality_check, minimalize, random_bad_palette,
                      random_maximal_bad_palette, search)
+from starpal.digraphs import _aux_masks, _find_tk
 from starpal.palette import _mask_triples, _relabeled_masks
 from starpal.goodness import DEFAULT_NODE_BUDGET
-from starpal.search import _extension_keys, _grow
+from starpal.search import _bad_extension, _extension_keys, _grow
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -30,6 +32,12 @@ def test_config_validation():
     for knob in ("dedup", "allow_large_exhaustive"):
         with pytest.raises(ValueError):
             SearchConfig(k=3, num_colors=2, objective="density", mode="local", **{knob: True})
+    # The knob only lifts the 2-color cap of exhaustive mode to 3 colors.
+    for m in (1, 2):
+        for dedup in (False, True):
+            with pytest.raises(ValueError, match="allow_large_exhaustive"):
+                SearchConfig(k=3, num_colors=m, objective="density", mode="exhaustive",
+                             dedup=dedup, allow_large_exhaustive=True)
 
 
 def test_exhaustive_two_colors():
@@ -69,6 +77,14 @@ def test_exhaustive_three_colors_deduped():
     best = report.best_palette
     assert is_good(best, make_star(3)) is None
     assert brute_force_is_good(best, make_star(3)) is None
+
+
+def test_exhaustive_three_colors_deduped_k7():
+    report = search(SearchConfig(k=7, num_colors=3, objective="density", mode="exhaustive",
+                                 dedup=True, allow_large_exhaustive=True))
+    assert report.best_objective == Fraction(4, 9)
+    assert report.num_candidates_examined == 10992
+    assert report.num_bad_found == 720
 
 
 def test_exhaustive_three_colors_deduped_k5():
@@ -161,7 +177,7 @@ def test_maximal_bad_extensions():
             _assert_maximal_bad(extended, star)
             order = list(iter_all_triples(3))
             rng.shuffle(order)
-            _assert_maximal_bad(_grow(base, order, star, DEFAULT_NODE_BUDGET), star)
+            _assert_maximal_bad(_grow(base, order, k, DEFAULT_NODE_BUDGET), star)
 
 
 def test_minimalize_reference_palette():
@@ -259,3 +275,102 @@ def test_incremental_keys_match_canonical_form():
             for t, key in keys:
                 expected = canonical_form(base.with_triple(t)).sorted_triples()
                 assert _mask_triples(3, key) == expected
+
+
+def _charge(p, k):
+    """What is_bad(p, S_k) charges: |P|, plus one per T_k search node when the
+    LITERAL aux digraph has no loop."""
+    d = aux_digraph(p, AuxPolicy.LITERAL)
+    nodes = []
+    if has_loop(d) is None:
+        _find_tk(d.out, d.num_vertices, k, nodes.append)
+    return len(p.triples) + len(nodes)
+
+
+def _decided(decide, budget):
+    """decide(budget)'s verdict, or the BudgetExceeded message."""
+    try:
+        return decide(budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _assert_extension_matches_is_bad(base, t, k):
+    grown = base.with_triple(t)
+    out = _aux_masks(base.num_colors, base.triples)
+    star = make_star(k)
+
+    def by_masks(budget):
+        return _bad_extension(out, len(base.triples), t, k, budget) is not None
+
+    def by_palette(budget):
+        return is_bad(grown, star, node_budget=budget)
+
+    need = _charge(grown, k)
+    bad = by_palette(need)
+    assert (_bad_extension(out, len(base.triples), t, k, need)
+            == (_aux_masks(grown.num_colors, grown.triples) if bad else None))
+    for budget in {1, len(base.triples), len(base.triples) + 1, need - 1}:
+        if budget >= 1:
+            assert _decided(by_masks, budget) == _decided(by_palette, budget)
+    if need > 1:
+        assert isinstance(_decided(by_masks, need - 1), str)
+    return bad
+
+
+def test_bad_extension_matches_is_bad_on_every_two_color_base():
+    universe = list(iter_all_triples(2))
+    verdicts = set()
+    for bits in range(1 << len(universe)):
+        base = Palette(2, [t for i, t in enumerate(universe) if bits >> i & 1])
+        for t in universe:
+            if t not in base.triples:
+                for k in range(3, 8):
+                    verdicts.add(_assert_extension_matches_is_bad(base, t, k))
+    assert verdicts == {True, False}
+
+
+def test_bad_extension_matches_is_bad_on_seeded_bases():
+    rng = random.Random(12)
+    verdicts = set()
+    for m in (3, 4, 5):
+        universe = list(iter_all_triples(m))
+        for k in range(3, 8):
+            for _ in range(4):
+                # Bad bases, as the searches extend, and arbitrary ones.
+                bad = random_bad_palette(k, m, rng)
+                any_base = Palette(m, rng.sample(universe, rng.randrange(m ** 3 // 3)))
+                for base in (bad, any_base):
+                    absent = [t for t in universe if t not in base.triples]
+                    for t in rng.sample(absent, min(6, len(absent))):
+                        verdicts.add(_assert_extension_matches_is_bad(base, t, k))
+    assert verdicts == {True, False}
+
+
+def _reference_grow(p, order, k):
+    """One pass over order, asking is_bad of each trial palette."""
+    star = make_star(k)
+    for t in order:
+        if t not in p.triples and is_bad(p.with_triple(t), star):
+            p = p.with_triple(t)
+    return p
+
+
+def test_grow_matches_reference_grower():
+    rng = random.Random(8)
+    for m in (2, 3, 4):
+        universe = list(iter_all_triples(m))
+        for k in (3, 4, 5, 6):
+            for _ in range(3):
+                order = universe.copy()
+                rng.shuffle(order)
+                grown = _reference_grow(Palette.empty(m), order, k)
+                starts = [Palette.empty(m),
+                          Palette(m, [t for t in grown.triples if rng.random() < 0.5]),
+                          Palette(m, rng.sample(universe, m))]
+                for start in starts:
+                    order = universe.copy()
+                    rng.shuffle(order)
+                    order = order[:rng.randrange(1, len(order) + 1)]
+                    assert (_grow(start, order, k, DEFAULT_NODE_BUDGET)
+                            == _reference_grow(start, order, k))
