@@ -26,9 +26,8 @@ from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, GoodnessWitness,
 from .palette import (POSITION_PAIRS, Palette, PaletteStats, admissible_pairs,
                       canonical_form, compute_stats, iter_all_triples, parse_palette,
                       permute_colors, remove_color, serialize_palette)
-from .search import (MinimalizeResult, SearchConfig, SearchReport,
-                     maximal_bad_extensions, minimalize, random_bad_palette,
-                     random_maximal_bad_palette, search)
+from .search import (SearchConfig, SearchReport, maximal_bad_extensions, minimalize,
+                     random_bad_palette, random_maximal_bad_palette, search)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __all__ = [
     "ClaimReport", "ColorRow", "DEFAULT_ENUM_CAP", "DEFAULT_NODE_BUDGET",
     "DegreeStats", "Digraph", "EnumerationCapExceeded",
     "FValues", "FormatError", "GInequalityReport", "GoodnessWitness",
-    "MinimalityReport", "MinimalizeResult", "POSITION_PAIRS", "Palette",
+    "MinimalityReport", "POSITION_PAIRS", "Palette",
     "PaletteStats", "PolicyData", "SearchConfig", "SearchReport", "ThreeGraph",
     "TkSquareReport", "TripartiteReport", "XSetCounts", "admissible_pairs",
     "audit_chain", "audit_to_json", "audit_to_jsonable", "aux_digraph",

@@ -8,7 +8,9 @@ randomized greedy growth.  Every maximal bad palette is grown by `_grow`,
 one pass over a triple order.  The breadth-first sweep and `_grow` decide a
 bad base plus one triple by `_bad_extension`, from the base's aux masks with
 the triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
-digraph.  Reported optima are re-verified bad, by brute force within its cap.
+digraph.  The engines offer sorted triple lists to `_Best`, and no search
+loop calls `canonical_form`.  Reported optima are re-verified bad, by brute
+force within its cap.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .errors import EnumerationCapExceeded
 from .digraphs import _aux_masks
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph, _Budget,
                        _star_certificate, brute_force_is_good, is_bad, make_star)
-from .palette import (Palette, Triple, _mask_triples, _relabeled_masks, canonical_form,
-                      compute_stats, iter_all_triples, remove_color)
+from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
+                      _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
+                      remove_color)
 
 OBJECTIVES = ("density", "min_degree")
 MODES = ("exhaustive", "local")
@@ -79,56 +82,59 @@ class SearchReport:
     budget_exhausted: bool
 
 
-def _objective_fn(name: str) -> Callable[[Palette], Fraction]:
+def _objective_fn(name: str, m: int) -> Callable[[list[Triple]], Fraction]:
     if name == "density":
-        return lambda p: p.density
-    return lambda p: compute_stats(p).min_degree
+        return lambda triples: Fraction(len(triples), m ** 3)
+    return lambda triples: compute_stats(Palette(m, frozenset(triples))).min_degree
 
 
 class _Best:
-    """Incumbent tracker; ties break toward the lexicographically least canonical form.
+    """Incumbent: the greatest objective value, ties broken toward the
+    lexicographically least sorted triple list, taken as offered.
 
-    Keys are sorted triple tuples, not masks: min_degree ties palettes of different sizes.
+    The plain sweep offers every relabeling of every bad palette and the
+    deduplicating sweep each class's canonical form, so both keep the least
+    optimal canonical form.  Lists, not masks: min_degree ties palettes of
+    different sizes.
     """
 
-    def __init__(self, objective: Callable[[Palette], Fraction]):
+    def __init__(self, objective: Callable[[list[Triple]], Fraction]):
         self.objective = objective
-        self.palette: Optional[Palette] = None
         self.value: Optional[Fraction] = None
-        self.key: Optional[tuple[Triple, ...]] = None
+        self.triples: Optional[list[Triple]] = None
 
-    def offer(self, p: Palette, key: Optional[tuple[Triple, ...]] = None) -> None:
-        """Consider p; key, when given, must be p's canonical key."""
-        value = self.objective(p)
-        if self.value is not None and value < self.value:
-            return
-        if key is None:
-            key = tuple(canonical_form(p).sorted_triples())
-        if self.value is None or value > self.value or key < self.key:
-            self.palette = Palette(p.num_colors, frozenset(key))
+    def offer(self, triples: list[Triple]) -> None:
+        """Consider the palette with these triples, sorted lexicographically."""
+        value = self.objective(triples)
+        if (self.value is None or value > self.value
+                or (value == self.value and triples < self.triples)):
             self.value = value
-            self.key = key
+            self.triples = triples
 
 
 def search(cfg: SearchConfig) -> SearchReport:
     """Run the configured search and return a verified, reproducible report.
 
-    The returned best palette is in canonical form.  Exhaustive runs carry a
-    certificate; local runs never do, and they spend their whole budget.  The
-    report's objective value is recomputed from the palette at reporting time.
+    Exhaustive best palettes are canonical (see `_Best`); local ones are
+    canonicalized once, up to MAX_CANONICAL_COLORS colors, and above it are a
+    representative of their class.  Exhaustive runs carry a certificate;
+    local runs never do, and they spend their whole budget.
     """
     star = make_star(cfg.k)
-    objective = _objective_fn(cfg.objective)
-    best = _Best(objective)
+    m = cfg.num_colors
+    best = _Best(_objective_fn(cfg.objective, m))
     exhaustive = cfg.mode == "exhaustive"
     engine = _search_exhaustive if exhaustive else _search_local
     examined, bad_found = engine(cfg, best)
-    assert best.palette is not None  # the empty palette is always S_k-bad
-    _verify_bad(best.palette, star, cfg.node_budget)
+    assert best.value is not None  # the empty palette is always S_k-bad
+    best_palette = Palette(m, frozenset(best.triples))
+    if not exhaustive and m <= MAX_CANONICAL_COLORS:
+        best_palette = canonical_form(best_palette)
+    _verify_bad(best_palette, star, cfg.node_budget)
     return SearchReport(
         config=cfg,
-        best_palette=best.palette,
-        best_objective=objective(best.palette),
+        best_palette=best_palette,
+        best_objective=best.value,
         num_candidates_examined=examined,
         num_bad_found=bad_found,
         exhaustive_certificate=exhaustive,
@@ -160,7 +166,7 @@ def _search_exhaustive(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
         if not chosen or _star_certificate(_aux_masks(m, chosen), len(chosen), cfg.k,
                                            _Budget(cfg.node_budget)) is None:
             bad_found += 1
-            best.offer(Palette(m, frozenset(chosen)))
+            best.offer(chosen)
     return examined, bad_found
 
 
@@ -171,14 +177,14 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     bad t-triple palette plus one triple; growing each canonical bad palette
     by every absent triple and canonicalizing reaches every class exactly
     once.  Good extensions are pruned (supersets of good palettes are good).
-    Classes are canonical masks (see `canonical_form`).  Each base's aux masks
-    are built once and every extension is decided from them by
-    `_bad_extension`; a Palette is built only for the bad ones, as incumbent
-    offers.
+    Classes are canonical masks (see `canonical_form`), and each bad class is
+    offered as its canonical triple list.  Each base's aux masks are built
+    once and every extension is decided from them by `_bad_extension`, so no
+    candidate builds a Palette.
     """
     m = cfg.num_colors
     examined, bad_found = 1, 1  # the empty palette is bad
-    best.offer(Palette.empty(m))
+    best.offer([])
     bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
     level = {0}  # the empty palette's mask
     seen_good: set[int] = set()
@@ -194,8 +200,7 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
                 if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is not None:
                     next_level.add(ckey)
                     bad_found += 1
-                    best.offer(Palette(m, frozenset(base + [t])),
-                               tuple(_mask_triples(m, ckey)))
+                    best.offer(_mask_triples(m, ckey))
                 else:
                     seen_good.add(ckey)
         level = next_level
@@ -260,7 +265,7 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     universe = list(iter_all_triples(cfg.num_colors))
     empty = Palette.empty(cfg.num_colors)
     examined, bad_found = 0, 1
-    best.offer(empty)
+    best.offer([])
     while examined < cfg.iteration_budget:
         order = universe.copy()
         rng.shuffle(order)
@@ -268,7 +273,7 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
         grown = _grow(empty, order, cfg.k, cfg.node_budget)
         examined += len(order)
         bad_found += len(grown.triples)
-        best.offer(grown)
+        best.offer(grown.sorted_triples())
     return examined, bad_found
 
 
@@ -285,20 +290,15 @@ def maximal_bad_extensions(p: Palette, k: int, *,
     return _grow(p, iter_all_triples(p.num_colors), k, node_budget)
 
 
-@dataclass(frozen=True)
-class MinimalizeResult:
-    palette: Palette
-    is_minimal: bool
-
-
 def minimalize(p: Palette, k: int, *,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> MinimalizeResult:
+               node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
     Badness is preserved under color removal (any witness for the smaller
     palette lifts to the larger one); each removal asserts it as a
-    cross-check.  It ends minimal: at one color, or when every removal
-    strictly decreases density.  Raises ValueError when p is not S_k-bad.
+    cross-check.  Returns the palette it ends at, which is minimal: it has one
+    color, or every removal strictly decreases density.  Raises ValueError
+    when p is not S_k-bad.
     """
     star = make_star(k)
     if not is_bad(p, star, node_budget=node_budget):
@@ -313,7 +313,7 @@ def minimalize(p: Palette, k: int, *,
                 break
         else:
             break
-    return MinimalizeResult(current, True)
+    return current
 
 
 def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,

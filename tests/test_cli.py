@@ -175,6 +175,16 @@ def test_search_output_parses():
     assert p.sorted_triples() == [(0, 1, 0), (1, 0, 1)]
 
 
+def test_search_local_above_canonical_colors():
+    # Nine colors is past canonical_form's reach; the report is a representative.
+    proc = run("search", "--star", "4", "--colors", "9", "--mode", "local",
+               "--iterations", "300")
+    assert proc.returncode == 0, proc.stderr
+    check = run("check", "-", "--star", "4", stdin=proc.stdout)
+    assert check.returncode == 0
+    assert check.stdout == "verdict bad\n"
+
+
 def test_construct_output_parses():
     proc = run("construct", "tripartite", "--n", "9", "--eps", "0")
     assert proc.returncode == 0

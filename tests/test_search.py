@@ -1,10 +1,12 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digraph,
-                     brute_force_is_good, canonical_form, has_loop, is_bad, is_good,
+                     brute_force_is_good, canonical_form, compute_stats, has_loop,
+                     is_bad, is_good,
                      iter_all_triples, make_star, maximal_bad_extensions,
                      minimality_check, minimalize, random_bad_palette,
                      random_maximal_bad_palette, search)
@@ -182,16 +184,16 @@ def test_maximal_bad_extensions():
 
 def test_minimalize_reference_palette():
     result = minimalize(OPTIMUM, 3)
-    assert result.palette == OPTIMUM
-    assert result.is_minimal
+    assert result == OPTIMUM
+    assert minimality_check(result).is_minimal
 
 
 def test_minimalize_drops_unused_color():
     p = Palette(3, [(0, 1, 0), (1, 0, 1)])
     result = minimalize(p, 3)
-    assert result.is_minimal
-    assert result.palette.num_colors == 2
-    assert result.palette.density == Fraction(1, 4)
+    assert minimality_check(result).is_minimal
+    assert result.num_colors == 2
+    assert result.density == Fraction(1, 4)
     with pytest.raises(ValueError):
         minimalize(Palette.full(2), 3)
 
@@ -203,9 +205,8 @@ def test_minimalize_agrees_with_minimality_check():
         for m in range(1, 5):
             for _ in range(3):
                 result = minimalize(random_bad_palette(k, m, rng), k)
-                assert result.is_minimal
-                assert minimality_check(result.palette).is_minimal
-                shrunk += result.palette.num_colors < m
+                assert minimality_check(result).is_minimal
+                shrunk += result.num_colors < m
     assert shrunk
 
 
@@ -249,17 +250,71 @@ def test_exhaustive_two_colors_deduped_counts():
     assert report.num_bad_found == 3
 
 
-@pytest.mark.parametrize("cfg", [
-    SearchConfig(k=3, num_colors=2, objective="density", mode="exhaustive"),
-    SearchConfig(k=3, num_colors=2, objective="min_degree", mode="exhaustive"),
-    SearchConfig(k=3, num_colors=3, objective="density", mode="exhaustive",
-                 dedup=True, allow_large_exhaustive=True),
-    SearchConfig(k=5, num_colors=5, objective="density", mode="local",
-                 seed=0, iteration_budget=100),
-], ids=["plain-density", "plain-min-degree", "dedup-m3", "local-m5"])
-def test_best_palette_is_canonical(cfg):
+def _count_canonical_forms(monkeypatch):
+    """Count search's canonical_form calls; returns the growing call list."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return canonical_form(p)
+
+    # The package's `search` name is the function, so fetch the module itself.
+    monkeypatch.setattr(importlib.import_module("starpal.search"), "canonical_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, calls", [
+    (SearchConfig(k=3, num_colors=2, objective="density", mode="exhaustive"), 0),
+    (SearchConfig(k=3, num_colors=2, objective="min_degree", mode="exhaustive"), 0),
+    (SearchConfig(k=5, num_colors=2, objective="density", mode="exhaustive"), 0),
+    (SearchConfig(k=3, num_colors=3, objective="density", mode="exhaustive",
+                  dedup=True, allow_large_exhaustive=True), 0),
+    (SearchConfig(k=5, num_colors=3, objective="density", mode="exhaustive",
+                  dedup=True, allow_large_exhaustive=True), 0),
+    (SearchConfig(k=5, num_colors=5, objective="density", mode="local",
+                  seed=0, iteration_budget=100), 1),
+], ids=["plain-density", "plain-min-degree", "plain-k5", "dedup-m3", "dedup-m3-k5",
+        "local-m5"])
+def test_best_palette_is_canonical(monkeypatch, cfg, calls):
+    # Exhaustive optima come out canonical from the tie rule alone; local
+    # search canonicalizes its winner once, after the search.
+    counted = _count_canonical_forms(monkeypatch)
     best = search(cfg).best_palette
+    assert len(counted) == calls
     assert best == canonical_form(best)
+
+
+def test_local_search_runs_above_canonical_colors(monkeypatch):
+    counted = _count_canonical_forms(monkeypatch)
+    report = search(SearchConfig(k=4, num_colors=9, mode="local", seed=0,
+                                 iteration_budget=300))
+    assert not counted
+    assert report.num_candidates_examined == 300
+    assert report.best_objective == report.best_palette.density > 0
+    assert is_bad(report.best_palette, make_star(4))
+
+
+@pytest.mark.parametrize("objective", ["density", "min_degree"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_exhaustive_best_is_least_optimal_canonical_form(m, objective):
+    # The reference rule: among all optimal bad palettes, report the least
+    # canonical form (by sorted triple list).
+    def value(p):
+        return p.density if objective == "density" else compute_stats(p).min_degree
+
+    universe = list(iter_all_triples(m))
+    subsets = [Palette(m, [t for i, t in enumerate(universe) if bits >> i & 1])
+               for bits in range(1 << len(universe))]
+    for k in range(2, 7):
+        star = make_star(k)
+        bad = [p for p in subsets if is_bad(p, star)]
+        top = max(map(value, bad))
+        expected = min((canonical_form(p) for p in bad if value(p) == top),
+                       key=Palette.sorted_triples)
+        for dedup in (False, True):
+            report = search(SearchConfig(k=k, num_colors=m, objective=objective,
+                                         mode="exhaustive", dedup=dedup))
+            assert (report.best_palette, report.best_objective) == (expected, top), (k, dedup)
 
 
 def test_incremental_keys_match_canonical_form():
