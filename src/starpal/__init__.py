@@ -12,7 +12,7 @@ from .audit import (AuditReport, AuditStep, ClaimReport, ColorRow, FValues,
                     f_values, format_audit_kv, format_audit_text,
                     g_inequality_check, minimality_check, stars_bounds,
                     target_density, x_sets)
-from .digraphs import (AuxPolicy, CaroWeiReport, DegreeStats, Digraph, TkSquareReport,
+from .digraphs import (AuxPolicy, CaroWeiReport, Digraph, TkSquareReport,
                        TripartiteReport, aux_digraph, brute_max_arcs,
                        caro_wei_check, degree_stats, find_transitive_tournament,
                        has_loop, is_tk_free, iter_loopless_digraphs, parse_digraph,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport", "AuditStep", "AuxPolicy", "BudgetExceeded", "CaroWeiReport",
     "ClaimReport", "ColorRow", "DEFAULT_ENUM_CAP", "DEFAULT_NODE_BUDGET",
-    "DegreeStats", "Digraph", "EnumerationCapExceeded",
+    "Digraph", "EnumerationCapExceeded",
     "FValues", "FormatError", "GInequalityReport", "GoodnessWitness",
     "MinimalityReport", "POSITION_PAIRS", "Palette",
     "PaletteStats", "PolicyData", "SearchConfig", "SearchReport", "ThreeGraph",

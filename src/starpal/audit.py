@@ -252,7 +252,6 @@ def audit_chain(p: Palette, k: int, *,
     xs = _x_sets(p, stats)
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
-    tau = Fraction(2, k - 1)
     fr = _Fractions()
 
     def agg(step_id: str, items: list[tuple[int, int]], den: int, *,
@@ -321,18 +320,18 @@ def audit_chain(p: Palette, k: int, *,
     # blocks are the (2,3)- and (1,2)-projection digraphs, OBSERVATION's the
     # same two swapped, so each block is sliced, measured and searched once.
     literal = aux_digraph(p, AuxPolicy.LITERAL)
-    blocks = [(degree_stats(g, tau), _find_tk(g.out, n, k, spend) is None) for g in (
+    blocks = [(degree_stats(g), _find_tk(g.out, n, k, spend) is None) for g in (
         Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in literal.out[:n]]),
         Digraph.from_masks(n, [mask >> n for mask in literal.out[n:]]))]
     policy_data = []
-    for policy, dig, ((st_d1, tk_d1), (st_d2, tk_d2)) in (
+    for policy, dig, (((outs1, ins1), tk_d1), ((outs2, ins2), tk_d2)) in (
             (AuxPolicy.LITERAL, literal, blocks),
             (AuxPolicy.OBSERVATION, aux_digraph(p, AuxPolicy.OBSERVATION), blocks[::-1])):
         suffix = policy.value
-        st_d = degree_stats(dig, tau)
+        outs, ins = degree_stats(dig)
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
-        x, y1, y2 = ([max(o, i) for o, i in zip(st.out_degrees, st.in_degrees)]
-                     for st in (st_d, st_d1, st_d2))
+        x, y1, y2 = ([max(o, i) for o, i in zip(*degs)]
+                     for degs in ((outs, ins), (outs1, ins1), (outs2, ins2)))
         tk_d = _find_tk(dig.out, 2 * n, k, spend) is None
         policy_data.append(PolicyData(
             policy=policy,
@@ -348,10 +347,10 @@ def audit_chain(p: Palette, k: int, *,
         # the whole-digraph ones under OBSERVATION); the other two are
         # palette-dependent, so they gate the steps that lean on them as the
         # premise_ok flags of slot1_vs_m, slot3_vs_m, e21_vs_m2 and e23_vs_m1.
-        ident_slot1 = st_d.out_degrees[:n] == sum1
-        ident_slot3 = st_d.in_degrees[n:] == sum3
-        ident_e21 = st_d2.in_degrees == d21
-        ident_e23 = st_d1.out_degrees == d23
+        ident_slot1 = outs[:n] == sum1
+        ident_slot3 = ins[n:] == sum3
+        ident_e21 = ins2 == d21
+        ident_e23 = outs1 == d23
 
         slot1 = agg(f"slot1_vs_m.{suffix}", [(sum1[a], x[a]) for a in colors], 2 * n,
                     premise_ok=ident_slot1,

@@ -158,40 +158,25 @@ def cmd_turan_number(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_brown_harary(args) -> tuple[list[str], list[dict], int, int]:
-    lines, rows, checked, violations = [], [], 0, 0
-    for n in range(args.k, args.max_n + 1):
-        formula = turan_max_arcs(n, args.k)
-        brute = brute_max_arcs(n, args.k)
-        ok = formula == brute
-        checked += 1
-        violations += not ok
-        lines.append(f"n={n} formula={formula} brute={brute} {'ok' if ok else 'VIOLATION'}")
-        rows.append({"n": n, "formula": formula, "brute": brute, "ok": ok})
-    return lines, rows, checked, violations
-
-
-def _verify_digraph_sweep(args) -> tuple[list[str], list[dict], int, int]:
-    lines, rows, checked, violations = [], [], 0, 0
+def _verify_rows(args) -> list[dict]:
+    """One row per n of the verify sweep; digraph rows are counted as the sweep runs."""
+    rows = []
+    if args.lemma == "brown-harary":
+        for n in range(args.k, args.max_n + 1):
+            formula, brute = turan_max_arcs(n, args.k), brute_max_arcs(n, args.k)
+            rows.append({"n": n, "formula": formula, "brute": brute, "ok": formula == brute})
+        return rows
     tau = _rational(args.tau) if args.tau is not None else None
     for n in range(1, args.max_n + 1):
         total = free = bad = 0
         for d in iter_loopless_digraphs(n):
+            report = (caro_wei_check(d, args.k) if args.lemma == "caro-wei"
+                      else tk_square_check(d, args.k, tau))
             total += 1
-            if args.lemma == "caro-wei":
-                report = caro_wei_check(d, args.k)
-            else:
-                report = tk_square_check(d, args.k, tau)
-            if not report.tk_free:
-                continue
-            free += 1
-            checked += 1
-            if not report.holds:
-                bad += 1
-                violations += 1
-        lines.append(f"n={n} digraphs={total} tkfree={free} violations={bad}")
+            free += report.tk_free
+            bad += report.tk_free and not report.holds
         rows.append({"n": n, "digraphs": total, "tkfree": free, "violations": bad})
-    return lines, rows, checked, violations
+    return rows
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -205,10 +190,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n {args.max_n} leaves nothing to check: "
                          f"the {args.lemma} sweep starts at n={first_n}")
     _arc_positions(args.max_n)  # refuse an over-cap --max-n before the first n
+    rows = _verify_rows(args)
     if args.lemma == "brown-harary":
-        lines, rows, checked, violations = _verify_brown_harary(args)
+        checked, violations = len(rows), sum(not r["ok"] for r in rows)
+        lines = [f"n={r['n']} formula={r['formula']} brute={r['brute']} "
+                 f"{'ok' if r['ok'] else 'VIOLATION'}" for r in rows]
     else:
-        lines, rows, checked, violations = _verify_digraph_sweep(args)
+        checked = sum(r["tkfree"] for r in rows)
+        violations = sum(r["violations"] for r in rows)
+        lines = [" ".join(f"{key}={value}" for key, value in r.items()) for r in rows]
     all_hold = violations == 0
     if args.json:
         _emit_json({"lemma": args.lemma, "k": args.k, "rows": rows,

@@ -217,16 +217,15 @@ def turan_max_arcs(n: int, k: int) -> int:
 
     Closed form (k-2)/(k-1) * (n^2 - a^2) + a*(a-1) with a = n mod (k-1);
     this is the arc count of the balanced complete bidirected (k-1)-partite
-    digraph.  Requires n >= k >= 3.
+    digraph.  The division is exact in integers: n = a (mod k-1), so k-1
+    divides n^2 - a^2.  Requires n >= k >= 3.
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     if n < k:
         raise ValueError(f"n must be at least k, got n={n} < k={k}")
     a = n % (k - 1)
-    value = Fraction(k - 2, k - 1) * (n * n - a * a) + a * (a - 1)
-    assert value.denominator == 1, f"non-integral extremal count for n={n}, k={k}"
-    return int(value)
+    return (k - 2) * (n * n - a * a) // (k - 1) + a * (a - 1)
 
 
 def brute_max_arcs(n: int, k: int) -> int:
@@ -275,39 +274,18 @@ def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:
         yield Digraph.from_masks(n, out[::-1])
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Exact normalized degree data of one digraph.
+def degree_stats(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(out_degrees, in_degrees) of d as ints, one step per arc.
 
-    m_values[v] = max(out_degree, in_degree) / num_vertices; vprime collects
-    the vertices with m_values[v] >= tau.  Both are computed on access, so a
-    caller that needs only the integer degrees makes no Fraction.
+    A loop counts once toward each side.  The lemmas read a vertex through
+    x = max(out, in), its normalized degree m(v) = x / n.
     """
-
-    num_vertices: int
-    out_degrees: tuple[int, ...]
-    in_degrees: tuple[int, ...]
-    tau: Fraction
-
-    @property
-    def m_values(self) -> tuple[Fraction, ...]:
-        n = self.num_vertices
-        return tuple(Fraction(max(o, i), n) for o, i in zip(self.out_degrees, self.in_degrees))
-
-    @property
-    def vprime(self) -> frozenset[int]:
-        return frozenset(v for v, mv in enumerate(self.m_values) if mv >= self.tau)
-
-
-def degree_stats(d: Digraph, tau: Fraction) -> DegreeStats:
-    """DegreeStats from out-masks, one step per arc; a loop counts once toward each side."""
-    outs = tuple(mask.bit_count() for mask in d.out)
     ins = [0] * d.num_vertices
     for mask in d.out:
         while mask:
             ins[(mask & -mask).bit_length() - 1] += 1
             mask &= mask - 1
-    return DegreeStats(d.num_vertices, outs, tuple(ins), tau)
+    return tuple(mask.bit_count() for mask in d.out), tuple(ins)
 
 
 @dataclass(frozen=True)
@@ -333,11 +311,11 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     n = d.num_vertices
-    stats = degree_stats(d, Fraction(0))
+    outs, ins = degree_stats(d)
     tk_free = is_tk_free(d, k)
     bound = Fraction((k - 2) * n)
     # m/(1-m) = x/(n-x) with x = max(d+(v), d-(v)), over one common denominator.
-    xs = [max(o, i) for o, i in zip(stats.out_degrees, stats.in_degrees)]
+    xs = [max(o, i) for o, i in zip(outs, ins)]
     if n in xs:
         return CaroWeiReport(n, k, tk_free, False, None, bound, False)
     den = math.lcm(*(n - x for x in xs))
@@ -371,18 +349,23 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
     sum 1/8 exceeds the bound 1/9 (the README's known failing criterion,
     acceptance criterion 5).  Per the README it holds when V' covers every
     vertex, and for k >= 7.  Requires k >= 4.
+
+    tau may be an int, a Fraction or a finite float; V' is decided in
+    integers, x * q >= p * n for x = max(d+(v), d-(v)) and tau = p/q exactly,
+    and the report carries tau as passed.
     """
     if k < 4:
         raise ValueError(f"k must be at least 4, got {k}")
     if tau is None:
         tau = Fraction(2, k - 1)
     n = d.num_vertices
-    stats = degree_stats(d, tau)
+    outs, ins = degree_stats(d)
     tk_free = is_tk_free(d, k)
-    # (m - 1/2)^2 = (2x - n)^2 / (4n^2) with x = max(d+(v), d-(v)); n = 0 has no V'.
-    vprime = stats.vprime
-    total = Fraction(sum((2 * max(stats.out_degrees[v], stats.in_degrees[v]) - n) ** 2
-                         for v in vprime), 4 * n * n or 1)
+    xs = [max(o, i) for o, i in zip(outs, ins)]
+    t = Fraction(tau)
+    vprime = frozenset(v for v, x in enumerate(xs) if x * t.denominator >= t.numerator * n)
+    # (m - 1/2)^2 = (2x - n)^2 / (4n^2); n = 0 has no V'.
+    total = Fraction(sum((2 * xs[v] - n) ** 2 for v in vprime), 4 * n * n or 1)
     bound = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2) * n
     return TkSquareReport(n, k, tau, tk_free, vprime, total, bound, total <= bound)
 

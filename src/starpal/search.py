@@ -21,6 +21,7 @@ from fractions import Fraction
 from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
+from .audit import minimality_check
 from .errors import EnumerationCapExceeded
 from .digraphs import _aux_masks
 from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph, _Budget,
@@ -294,9 +295,9 @@ def minimalize(p: Palette, k: int, *,
                node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
-    Badness is preserved under color removal (any witness for the smaller
-    palette lifts to the larger one); each removal asserts it as a
-    cross-check.  Returns the palette it ends at, which is minimal: it has one
+    Each pass removes `minimality_check`'s witness color.  Badness is
+    preserved under color removal (any witness for the smaller palette lifts
+    to the larger one); each removal asserts it as a cross-check.  Returns the palette it ends at, which is minimal: it has one
     color, or every removal strictly decreases density.  Raises ValueError
     when p is not S_k-bad.
     """
@@ -304,15 +305,9 @@ def minimalize(p: Palette, k: int, *,
     if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
-    while current.num_colors >= 2:
-        for a in range(current.num_colors):
-            smaller = remove_color(current, a)
-            if smaller.density >= current.density:
-                assert is_bad(smaller, star, node_budget=node_budget)
-                current = smaller
-                break
-        else:
-            break
+    while (a := minimality_check(current).witness_color) is not None:
+        current = remove_color(current, a)
+        assert is_bad(current, star, node_budget=node_budget)
     return current
 
 

@@ -111,17 +111,19 @@ def reference_audit(p, k, ties=None):
         dig = aux_digraph(p, policy)
         dig1 = Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in dig.out[:n]])
         dig2 = Digraph.from_masks(n, [mask >> n for mask in dig.out[n:]])
-        st_d, st_d1, st_d2 = (degree_stats(g, tau) for g in (dig, dig1, dig2))
-        m_d, m_d1, m_d2 = st_d.m_values, st_d1.m_values, st_d2.m_values
+        (out_d, in_d), (out_d1, in_d1), (out_d2, in_d2) = map(degree_stats, (dig, dig1, dig2))
+        m_d, m_d1, m_d2 = (tuple(Fraction(max(o, i), g.num_vertices) for o, i in zip(outs, ins))
+                           for g, outs, ins in ((dig, out_d, in_d), (dig1, out_d1, in_d1),
+                                                (dig2, out_d2, in_d2)))
         tk_d, tk_d1, tk_d2 = (is_tk_free(g, k) for g in (dig, dig1, dig2))
         policy_data.append(PolicyData(policy, has_loop(dig), tk_d, tk_d1, tk_d2,
                                       m_d, m_d1, m_d2))
-        ident_slot1 = all(st_d.out_degrees[a] == stats.degree(1, 2, a) + stats.degree(1, 3, a)
+        ident_slot1 = all(out_d[a] == stats.degree(1, 2, a) + stats.degree(1, 3, a)
                           for a in range(n))
-        ident_slot3 = all(st_d.in_degrees[n + a] == stats.degree(3, 1, a)
+        ident_slot3 = all(in_d[n + a] == stats.degree(3, 1, a)
                           + stats.degree(3, 2, a) for a in range(n))
-        ident_e21 = all(st_d2.in_degrees[a] == stats.degree(2, 1, a) for a in range(n))
-        ident_e23 = all(st_d1.out_degrees[a] == stats.degree(2, 3, a) for a in range(n))
+        ident_e21 = all(in_d2[a] == stats.degree(2, 1, a) for a in range(n))
+        ident_e23 = all(out_d1[a] == stats.degree(2, 3, a) for a in range(n))
 
         slot1 = agg(f"slot1_vs_m.{suffix}", [(r.s1, m_d[r.color]) for r in rows],
                     premise_ok=ident_slot1,

@@ -37,9 +37,7 @@ def bidirected_complete(n):
 def test_digraph_validation_and_degrees():
     d = Digraph(3, [(0, 1), (1, 1), (2, 0)])
     assert d.num_arcs == 3
-    stats = degree_stats(d, Fraction(0))
-    assert stats.out_degrees == (1, 1, 1)
-    assert stats.in_degrees == (1, 2, 0)
+    assert degree_stats(d) == ((1, 1, 1), (1, 2, 0))
     with pytest.raises(ValueError):
         Digraph(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -249,21 +247,20 @@ def test_iter_loopless_digraphs_counts():
 
 def test_degree_stats_counts_loops_both_ways():
     d = Digraph(2, [(0, 0), (0, 1)])
-    stats = degree_stats(d, Fraction(1, 2))
-    assert stats.out_degrees == (2, 0)
-    assert stats.in_degrees == (1, 1)
-    assert stats.m_values == (Fraction(1), Fraction(1, 2))
-    assert stats.vprime == {0, 1}
+    outs, ins = degree_stats(d)
+    assert outs == (2, 0)
+    assert ins == (1, 1)
+    assert [Fraction(max(o, i), 2) for o, i in zip(outs, ins)] == [1, Fraction(1, 2)]
 
 
 @given(st.integers(0, 8).flatmap(lambda n: st.builds(
     Digraph.from_masks, st.just(n), st.lists(st.integers(0, (1 << n) - 1),
                                              min_size=n, max_size=n))))
 def test_degree_stats_matches_arc_scan(d):
-    stats = degree_stats(d, Fraction(1, 2))
+    outs, ins = degree_stats(d)
     arcs = d.sorted_arcs()
-    assert stats.out_degrees == tuple(sum(u == w for u, _ in arcs) for w in range(d.num_vertices))
-    assert stats.in_degrees == tuple(sum(v == w for _, v in arcs) for w in range(d.num_vertices))
+    assert outs == tuple(sum(u == w for u, _ in arcs) for w in range(d.num_vertices))
+    assert ins == tuple(sum(v == w for _, v in arcs) for w in range(d.num_vertices))
 
 
 def test_caro_wei_directed_cycle():
@@ -358,3 +355,38 @@ def test_turan_formula_integrality(n, k):
     value = turan_max_arcs(n, k)
     assert value == int(value)
     assert 0 <= value <= n * (n - 1)
+
+
+def _vprime_taus():
+    return ([Fraction(0), Fraction(-1, 2), Fraction(1, 3)]
+            + [Fraction(2, k - 1) for k in range(4, 8)] + [Fraction(1), Fraction(3, 2), 1, 0.5])
+
+
+def _vprime_digraphs():
+    rng = random.Random(14)
+    for n in range(4):
+        yield from iter_loopless_digraphs(n)
+    for n in range(4, 7):
+        for _ in range(40):
+            yield Digraph.from_masks(n, [rng.getrandbits(n) & ~(1 << u) for u in range(n)])
+
+
+def test_tk_square_vprime_matches_fraction_reference():
+    for d in _vprime_digraphs():
+        n = d.num_vertices
+        arcs = d.sorted_arcs()
+        x = [max(sum(u == v for u, _ in arcs), sum(w == v for _, w in arcs)) for v in range(n)]
+        for tau in _vprime_taus():
+            vprime = {v for v in range(n) if Fraction(x[v], n) >= tau}
+            rep = tk_square_check(d, 4, tau)
+            assert rep.tau is tau
+            assert rep.vprime == vprime, (d.out, tau)
+            assert rep.sum_sq == sum(((Fraction(x[v], n) - Fraction(1, 2)) ** 2 for v in vprime),
+                                     Fraction(0))
+
+
+def test_turan_max_arcs_matches_fraction_formula():
+    for k in range(3, 61):
+        for n in range(k, 61):
+            a = n % (k - 1)
+            assert turan_max_arcs(n, k) == Fraction(k - 2, k - 1) * (n * n - a * a) + a * (a - 1)
