@@ -7,11 +7,10 @@ bad palettes.  All arithmetic is exact.
 """
 
 from .audit import (AuditReport, AuditStep, ClaimReport, ColorRow, FValues,
-                    GInequalityReport, MinimalityReport, PolicyData, XSetCounts,
-                    audit_chain, audit_to_json, audit_to_jsonable, claim_check,
-                    f_values, format_audit_kv, format_audit_text,
-                    g_inequality_check, minimality_check, stars_bounds,
-                    target_density, x_sets)
+                    GInequalityReport, PolicyData, XSetCounts, audit_chain,
+                    audit_to_json, audit_to_jsonable, claim_check, f_values,
+                    format_audit_kv, format_audit_text, g_inequality_check,
+                    minimality_check, stars_bounds, target_density, x_sets)
 from .digraphs import (AuxPolicy, CaroWeiReport, Digraph, TkSquareReport,
                        TripartiteReport, aux_digraph, brute_max_arcs,
                        caro_wei_check, degree_stats, find_transitive_tournament,
@@ -36,8 +35,8 @@ __all__ = [
     "ClaimReport", "ColorRow", "DEFAULT_ENUM_CAP", "DEFAULT_NODE_BUDGET",
     "Digraph", "EnumerationCapExceeded",
     "FValues", "FormatError", "GInequalityReport", "GoodnessWitness",
-    "MinimalityReport", "POSITION_PAIRS", "Palette",
-    "PaletteStats", "PolicyData", "SearchConfig", "SearchReport", "ThreeGraph",
+    "POSITION_PAIRS", "Palette", "PaletteStats", "PolicyData", "SearchConfig",
+    "SearchReport", "ThreeGraph",
     "TkSquareReport", "TripartiteReport", "XSetCounts", "admissible_pairs",
     "audit_chain", "audit_to_json", "audit_to_jsonable", "aux_digraph",
     "brute_force_is_good", "brute_max_arcs", "canonical_form", "caro_wei_check",

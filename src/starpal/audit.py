@@ -513,28 +513,19 @@ def g_inequality_check(k: int, xs: Iterable[Fraction]) -> GInequalityReport:
     )
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Whether removing any single color strictly decreases density."""
-
-    is_minimal: bool
-    witness_color: Optional[int]
-
-
-def minimality_check(p: Palette) -> MinimalityReport:
-    """A palette is minimal when every color removal strictly decreases density.
+def minimality_check(p: Palette) -> Optional[int]:
+    """The least color whose removal does not strictly decrease density, or
+    None when p is minimal: every color removal strictly decreases density.
 
     A single-color palette is minimal by convention (no removal is possible).
-    The witness color, when present, is the least color whose removal does
-    not strictly decrease density.
     """
     if p.num_colors == 1:
-        return MinimalityReport(True, None)
+        return None
     d = p.density
     for a in range(p.num_colors):
         if remove_color(p, a).density >= d:
-            return MinimalityReport(False, a)
-    return MinimalityReport(True, None)
+            return a
+    return None
 
 
 @dataclass(frozen=True)
@@ -559,13 +550,12 @@ def claim_check(p: Palette, k: int, *,
         raise ValueError(f"k must be at least 2, got {k}")
     stats = compute_stats(p)
     rhs = 3 * stats.density - Fraction(2 * k - 3, k - 1)
-    minimal = minimality_check(p)
     bad = is_bad(p, make_star(k), node_budget=node_budget)
     return ClaimReport(
         k=k,
         delta=stats.min_degree,
         rhs=rhs,
-        is_minimal=minimal.is_minimal,
+        is_minimal=minimality_check(p) is None,
         is_bad=bad,
         holds=stats.min_degree >= rhs,
     )

@@ -316,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, *, with_float=True, json_group=None):
-        (json_group or sp).add_argument("--json", action="store_true",
-                                        help="emit one JSON document")
-        if with_float:
-            sp.add_argument("--float", action="store_true",
-                            help="append decimal renderings to exact rationals")
+        group = json_group or sp.add_mutually_exclusive_group()
+        group.add_argument("--json", action="store_true", help="emit one JSON document")
+        if with_float:  # JSON renders no decimals, so --float is refused with --json
+            group.add_argument("--float", action="store_true",
+                               help="append decimal renderings to exact rationals")
 
     sp = sub.add_parser("stats", help="exact palette statistics")
     sp.add_argument("palette", help="palette file, or - for stdin")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                     help="bounds the whole audit: |P| plus the nodes of its four "
                          "T_k searches (blocks D1, D2 and D under each policy)")
-    add_common(sp, json_group=fmt)
+    add_common(sp, with_float=False, json_group=fmt)
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("search", help="search for extremal bad palettes")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
-from .palette import Palette, Triple, _all_in_range, _read_records
+from .palette import Palette, Triple, _read_records
 
 Arc = tuple[int, int]
 
@@ -45,16 +45,13 @@ class Digraph:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"num_vertices must be a nonnegative integer, got {n!r}")
         items = list(map(tuple, arcs))
-        if not _all_in_range(items, 2, n):
-            # The slow loop accepts int subclasses and names the first bad arc.
-            for a in items:
-                if len(a) != 2 or not all(isinstance(v, int) for v in a):
-                    raise ValueError(f"not an arc: {a!r}")
-                if not all(0 <= v < n for v in a):
-                    raise ValueError(f"arc {a} out of range for {n} vertices")
         out = [0] * n
-        for (u, v) in items:
-            out[u] |= 1 << v
+        for a in items:  # int subclasses pass; the first bad arc is named
+            if len(a) != 2 or not all(isinstance(v, int) for v in a):
+                raise ValueError(f"not an arc: {a!r}")
+            if not all(0 <= v < n for v in a):
+                raise ValueError(f"arc {a} out of range for {n} vertices")
+            out[a[0]] |= 1 << a[1]
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "out", tuple(out))
 

@@ -217,13 +217,11 @@ def is_good(p: Palette, f: ThreeGraph, *,
     node_budget bounds the elementary checks: on the star route |P| for the
     projection scan plus one per T_k search node, on the sweep |P| per
     constraint propagation.  Exceeding it raises BudgetExceeded rather than
-    returning a verdict.
+    returning a verdict; a budget below 1 raises ValueError on every input.
     """
+    budget = _Budget(node_budget)
     if not f.edges:
         return GoodnessWitness(tuple(range(f.num_vertices)), {})
-    if not p.triples:
-        return None
-    budget = _Budget(node_budget)
     apex = star_apex(f)
     if apex is not None:
         verts = _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
@@ -231,6 +229,8 @@ def is_good(p: Palette, f: ThreeGraph, *,
         w = None if verts is None else _star_witness(p, f, apex, verts)
         assert w is None or verify_witness(p, f, w)
         return w
+    if not p.triples:  # bad under every ordering: skip the n! sweep
+        return None
     triples = p.sorted_triples()
     for ordering in itertools.permutations(range(f.num_vertices)):
         coloring = _solve_ordering(p, f, ordering, triples, budget)
@@ -244,7 +244,7 @@ def is_good(p: Palette, f: ThreeGraph, *,
 def is_bad(p: Palette, f: ThreeGraph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """`is_good(p, f) is None`, decided and charged as there; a star's verdict
     stops at `_star_certificate` and builds no witness."""
-    if p.triples and star_apex(f) is not None:
+    if star_apex(f) is not None:
         return _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
                                  f.num_vertices - 1, _Budget(node_budget)) is None
     return is_good(p, f, node_budget=node_budget) is None
@@ -255,9 +255,12 @@ def _star_certificate(out: Sequence[int], size: int, k: int,
     """Aux vertices for a star's k leaves, None when the palette is S_k-bad.
 
     out holds the LITERAL aux out-masks of a palette of `size` triples (see
-    `_aux_masks`).  Charges size, then returns a loop k times or a T_k block-1
-    first, arcs checked; the T_k search charges one per node.
+    `_aux_masks`).  The empty palette is bad at no charge.  Otherwise charges
+    size, then returns a loop k times or a T_k block-1 first, arcs checked;
+    the T_k search charges one per node.
     """
+    if not size:
+        return None
     budget.spend(size)
     loop = _loop_vertex(out)
     if loop is not None:

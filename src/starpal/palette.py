@@ -11,7 +11,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError
 
@@ -40,13 +40,11 @@ class Palette:
             raise ValueError(f"num_colors must be a positive integer, got {m!r}")
         items = list(map(tuple, self.triples))
         triples = frozenset(items)
-        if not _all_in_range(triples, 3, m):
-            # The slow loop accepts int subclasses and names the first bad triple.
-            for t in items:
-                if len(t) != 3 or not all(isinstance(c, int) for c in t):
-                    raise ValueError(f"not an ordered triple of ints: {t!r}")
-                if not all(0 <= c < m for c in t):
-                    raise ValueError(f"triple {t} out of range for {m} colors")
+        for t in items:  # int subclasses pass; the first bad triple is named
+            if len(t) != 3 or not all(isinstance(c, int) for c in t):
+                raise ValueError(f"not an ordered triple of ints: {t!r}")
+            if not all(0 <= c < m for c in t):
+                raise ValueError(f"triple {t} out of range for {m} colors")
         object.__setattr__(self, "triples", triples)
 
     @classmethod
@@ -74,20 +72,6 @@ class Palette:
 
     def without_triple(self, t: Triple) -> "Palette":
         return Palette(self.num_colors, self.triples - {tuple(t)})
-
-
-def _all_in_range(tuples: Collection[tuple], size: int, bound: int) -> bool:
-    """Whether every tuple has `size` entries of exact type int in [0, bound).
-
-    Each test is one pass in C, so constructors can validate cheaply; a False
-    sends the caller to its per-item loop, which accepts int subclasses such as
-    bool and raises the precise error otherwise.
-    """
-    if not tuples:
-        return True
-    return (set(map(len, tuples)) == {size}
-            and set(map(type, itertools.chain.from_iterable(tuples))) == {int}
-            and min(map(min, tuples)) >= 0 and max(map(max, tuples)) < bound)
 
 
 def iter_all_triples(num_colors: int) -> Iterator[Triple]:

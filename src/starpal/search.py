@@ -124,10 +124,10 @@ def search(cfg: SearchConfig) -> SearchReport:
     star = make_star(cfg.k)
     m = cfg.num_colors
     best = _Best(_objective_fn(cfg.objective, m))
+    best.offer([])  # the empty palette is S_k-bad
     exhaustive = cfg.mode == "exhaustive"
     engine = _search_exhaustive if exhaustive else _search_local
     examined, bad_found = engine(cfg, best)
-    assert best.value is not None  # the empty palette is always S_k-bad
     best_palette = Palette(m, frozenset(best.triples))
     if not exhaustive and m <= MAX_CANONICAL_COLORS:
         best_palette = canonical_form(best_palette)
@@ -163,9 +163,8 @@ def _search_exhaustive(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     for bits in range(1 << len(universe)):
         chosen = [universe[i] for i in range(len(universe)) if (bits >> i) & 1]
         examined += 1
-        # As in is_bad: the empty palette is bad at no charge.
-        if not chosen or _star_certificate(_aux_masks(m, chosen), len(chosen), cfg.k,
-                                           _Budget(cfg.node_budget)) is None:
+        if _star_certificate(_aux_masks(m, chosen), len(chosen), cfg.k,
+                             _Budget(cfg.node_budget)) is None:
             bad_found += 1
             best.offer(chosen)
     return examined, bad_found
@@ -185,7 +184,6 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     """
     m = cfg.num_colors
     examined, bad_found = 1, 1  # the empty palette is bad
-    best.offer([])
     bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
     level = {0}  # the empty palette's mask
     seen_good: set[int] = set()
@@ -266,7 +264,6 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     universe = list(iter_all_triples(cfg.num_colors))
     empty = Palette.empty(cfg.num_colors)
     examined, bad_found = 0, 1
-    best.offer([])
     while examined < cfg.iteration_budget:
         order = universe.copy()
         rng.shuffle(order)
@@ -295,17 +292,18 @@ def minimalize(p: Palette, k: int, *,
                node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
-    Each pass removes `minimality_check`'s witness color.  Badness is
+    Each pass removes the color `minimality_check` returns.  Badness is
     preserved under color removal (any witness for the smaller palette lifts
-    to the larger one); each removal asserts it as a cross-check.  Returns the palette it ends at, which is minimal: it has one
-    color, or every removal strictly decreases density.  Raises ValueError
-    when p is not S_k-bad.
+    to the larger one); each removal asserts it as a cross-check.  Returns
+    the palette it ends at, which is minimal: it has one color, or every
+    removal strictly decreases density.  Raises ValueError when p is not
+    S_k-bad.
     """
     star = make_star(k)
     if not is_bad(p, star, node_budget=node_budget):
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
-    while (a := minimality_check(current).witness_color) is not None:
+    while (a := minimality_check(current)) is not None:
         current = remove_color(current, a)
         assert is_bad(current, star, node_budget=node_budget)
     return current

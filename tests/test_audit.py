@@ -305,11 +305,9 @@ def test_g_entry_matches_fraction_formulas(k, x):
 
 def test_minimality_examples():
     assert minimality_check(
-        Palette(2, [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 1)])).is_minimal
-    assert minimality_check(Palette(1, [(0, 0, 0)])).is_minimal
-    rep = minimality_check(Palette(2, [(0, 0, 0)]))
-    assert not rep.is_minimal
-    assert rep.witness_color == 1
+        Palette(2, [(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 1)])) is None
+    assert minimality_check(Palette(1, [(0, 0, 0)])) is None
+    assert minimality_check(Palette(2, [(0, 0, 0)])) == 1
 
 
 def test_claim_check_reference():
@@ -317,6 +315,7 @@ def test_claim_check_reference():
     assert rep.delta == Fraction(1, 4)
     assert rep.rhs == Fraction(-3, 4)
     assert rep.is_minimal and rep.is_bad and rep.holds
+    assert minimality_check(OPTIMUM) is None
     with pytest.raises(ValueError):
         claim_check(OPTIMUM, 1)
 

@@ -221,6 +221,15 @@ def test_audit_rejects_nonpositive_node_budget(bad_file):
     assert proc.stdout == ""
 
 
+def test_check_rejects_nonpositive_node_budget(tmp_path):
+    path = tmp_path / "empty.pal"
+    path.write_text("palette 2\n")
+    proc = run("check", str(path), "--star", "3", "--node-budget", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: node budget must be positive\n"
+    assert proc.stdout == ""
+
+
 def test_large_star_with_loop_is_good(tmp_path):
     path = tmp_path / "loop.pal"
     path.write_text("palette 2\n0 0 0\n0 1 0\n1 0 1\n1 1 1\n0 0 1\n")
@@ -229,11 +238,19 @@ def test_large_star_with_loop_is_good(tmp_path):
     assert proc.stdout.splitlines()[0] == "verdict good"
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(bad_file):
     proc = run("turan-number", "--n", "2", "--k", "3")
     assert proc.returncode == 2
     proc = run("nonsense-command")
     assert proc.returncode == 2
+    # --float is refused where no renderer would read it.
+    for argv, message in ((("audit", bad_file, "--star", "5", "--float"),
+                           "unrecognized arguments: --float"),
+                          (("bounds", "--k", "5", "--float", "--json"), "not allowed with")):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
     for argv in (("construct", "tripartite", "--n", "9", "--eps", "1/0"),
                  ("verify", "--lemma", "tk-square", "--max-n", "2", "--k", "4",
                   "--tau", "1/0"),

@@ -55,6 +55,7 @@ def test_digraph_validation_and_degrees():
     ([(-1, 0)], "out of range"),
     ([(0, 0), (True, 2)], "out of range"),
     ((a for a in [(0, 1), (2, 0)]), "out of range"),
+    ([(0, 0), (0, 5), ("x", 0)], r"arc \(0, 5\) out of range"),
 ])
 def test_digraph_rejects_bad_arcs(arcs, message):
     with pytest.raises(ValueError, match=message):

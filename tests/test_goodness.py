@@ -240,9 +240,9 @@ def test_is_bad_on_non_stars_edgeless_graphs_and_empty_palettes():
         assert is_bad(p, ThreeGraph(3, [])) is False
     for k in (2, 3, 6):
         assert is_bad(Palette.empty(2), make_star(k)) is True
-        assert is_bad(Palette.empty(2), make_star(k), node_budget=0) is True
-    with pytest.raises(ValueError, match="node budget must be positive"):
-        is_bad(Palette.full(2), make_star(3), node_budget=0)
+    for p in (Palette.empty(2), Palette.full(2)):
+        with pytest.raises(ValueError, match="node budget must be positive"):
+            is_bad(p, make_star(3), node_budget=0)
 
 
 def _outcome(decide, p, f, budget):

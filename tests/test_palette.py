@@ -43,6 +43,7 @@ def test_constructor_normalizes_and_validates():
     ([(0, -1, 0)], "out of range"),
     ([(0, 0, 0), (True, 2, 0)], "out of range"),
     ((t for t in [(0, 0, 0), (0, 0, 2)]), "out of range"),
+    ([(0, 0, 0), (0, 0, 5), ("x", 0, 0)], r"triple \(0, 0, 5\) out of range"),
 ])
 def test_constructor_rejects_bad_triples(triples, message):
     with pytest.raises(ValueError, match=message):

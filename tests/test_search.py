@@ -59,13 +59,18 @@ def test_exhaustive_min_degree_objective():
     assert report.best_objective == Fraction(1, 4)
 
 
-def test_exhaustive_single_color():
-    cfg = SearchConfig(k=2, num_colors=1, objective="density", mode="exhaustive")
+@pytest.mark.parametrize("engine, examined", [
+    ({}, 2),
+    ({"dedup": True}, 2),
+    ({"mode": "local", "iteration_budget": 5}, 5),
+])
+def test_exhaustive_single_color(engine, examined):
+    cfg = SearchConfig(k=2, num_colors=1, objective="density", **engine)
     report = search(cfg)
     assert report.best_objective == 0
     assert report.best_palette.num_triples == 0
     assert report.num_bad_found == 1
-    assert report.num_candidates_examined == 2
+    assert report.num_candidates_examined == examined
 
 
 def test_exhaustive_three_colors_deduped():
@@ -185,13 +190,13 @@ def test_maximal_bad_extensions():
 def test_minimalize_reference_palette():
     result = minimalize(OPTIMUM, 3)
     assert result == OPTIMUM
-    assert minimality_check(result).is_minimal
+    assert minimality_check(result) is None
 
 
 def test_minimalize_drops_unused_color():
     p = Palette(3, [(0, 1, 0), (1, 0, 1)])
     result = minimalize(p, 3)
-    assert minimality_check(result).is_minimal
+    assert minimality_check(result) is None
     assert result.num_colors == 2
     assert result.density == Fraction(1, 4)
     with pytest.raises(ValueError):
@@ -205,7 +210,7 @@ def test_minimalize_agrees_with_minimality_check():
         for m in range(1, 5):
             for _ in range(3):
                 result = minimalize(random_bad_palette(k, m, rng), k)
-                assert minimality_check(result).is_minimal
+                assert minimality_check(result) is None
                 shrunk += result.num_colors < m
     assert shrunk
 
