@@ -59,12 +59,20 @@ def test_exhaustive_min_degree_objective():
     assert report.best_objective == Fraction(1, 4)
 
 
+def test_exhaustive_single_color():
+    cfg = SearchConfig(k=2, num_colors=1, objective="density", mode="exhaustive")
+    report = search(cfg)
+    assert report.best_objective == 0
+    assert report.best_palette.num_triples == 0
+    assert report.num_bad_found == 1
+    assert report.num_candidates_examined == 2
+
+
 @pytest.mark.parametrize("engine, examined", [
-    ({}, 2),
     ({"dedup": True}, 2),
     ({"mode": "local", "iteration_budget": 5}, 5),
 ])
-def test_exhaustive_single_color(engine, examined):
+def test_single_color_other_engines(engine, examined):
     cfg = SearchConfig(k=2, num_colors=1, objective="density", **engine)
     report = search(cfg)
     assert report.best_objective == 0
