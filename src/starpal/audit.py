@@ -320,7 +320,7 @@ def audit_chain(p: Palette, k: int, *,
     # blocks are the (2,3)- and (1,2)-projection digraphs, OBSERVATION's the
     # same two swapped, so each block is sliced, measured and searched once.
     literal = aux_digraph(p, AuxPolicy.LITERAL)
-    blocks = [(degree_stats(g), _find_tk(g.out, n, k, spend) is None) for g in (
+    blocks = [(degree_stats(g), _find_tk(g.out, k, spend) is None) for g in (
         Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in literal.out[:n]]),
         Digraph.from_masks(n, [mask >> n for mask in literal.out[n:]]))]
     policy_data = []
@@ -332,7 +332,7 @@ def audit_chain(p: Palette, k: int, *,
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(*degs)]
                      for degs in ((outs, ins), (outs1, ins1), (outs2, ins2)))
-        tk_d = _find_tk(dig.out, 2 * n, k, spend) is None
+        tk_d = _find_tk(dig.out, k, spend) is None
         policy_data.append(PolicyData(
             policy=policy,
             loop_vertex=has_loop(dig),
@@ -538,8 +538,7 @@ class ClaimReport:
     holds: bool
 
 
-def claim_check(p: Palette, k: int, *,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> ClaimReport:
+def claim_check(p: Palette, k: int) -> ClaimReport:
     """Evaluate min_degree >= 3 * density - (2k-3)/(k-1) on p.
 
     Both sides are exact.  The inequality is only an expectation for palettes
@@ -550,7 +549,7 @@ def claim_check(p: Palette, k: int, *,
         raise ValueError(f"k must be at least 2, got {k}")
     stats = compute_stats(p)
     rhs = 3 * stats.density - Fraction(2 * k - 3, k - 1)
-    bad = is_bad(p, make_star(k), node_budget=node_budget)
+    bad = is_bad(p, make_star(k))
     return ClaimReport(
         k=k,
         delta=stats.min_degree,

@@ -248,7 +248,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "examined": report.num_candidates_examined,
             "bad_found": report.num_bad_found,
             "certificate": report.exhaustive_certificate,
-            "budget_exhausted": report.budget_exhausted,
+            "budget_exhausted": not report.exhaustive_certificate,
             "best_objective": str(report.best_objective),
             "best_palette": [list(t) for t in report.best_palette.sorted_triples()],
         })
@@ -256,7 +256,7 @@ def cmd_search(args: argparse.Namespace) -> int:
           f"mode={cfg.mode} seed={cfg.seed} dedup={_flag(cfg.dedup)}")
     print(f"# examined {report.num_candidates_examined} bad {report.num_bad_found} "
           f"certificate {_flag(report.exhaustive_certificate)} "
-          f"budget_exhausted {_flag(report.budget_exhausted)}")
+          f"budget_exhausted {_flag(not report.exhaustive_certificate)}")
     print(f"# best {cfg.objective} {_fr(report.best_objective, args)}")
     sys.stdout.write(serialize_palette(report.best_palette))
     return EXIT_OK
@@ -417,6 +417,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # an input too large to hold fails the same way on every run
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

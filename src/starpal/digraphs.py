@@ -159,16 +159,18 @@ def _loop_vertex(out: Sequence[int]) -> Optional[int]:
     return next((v for v, mask in enumerate(out) if mask >> v & 1), None)
 
 
-def _find_tk(out: Sequence[int], n: int, k: int,
+def _find_tk(out: Sequence[int], k: int,
              spend: Optional[Callable[[int], None]] = None) -> Optional[tuple[int, ...]]:
     """Ordered DFS for k distinct vertices with every forward arc present.
 
-    Loops in out are ignored: a chosen vertex leaves the candidate set.
-    Vertices are tried in increasing index so the first witness is
-    deterministic.  spend, when given, is called with 1 at every search node.
-    The DFS keeps an explicit stack, one candidate mask and one untried mask
-    per depth, so the recursion limit does not bound k.
+    out holds the out-masks of vertices 0..len(out)-1.  Loops in out are
+    ignored: a chosen vertex leaves the candidate set.  Vertices are tried in
+    increasing index so the first witness is deterministic.  spend, when
+    given, is called with 1 at every search node.  The DFS keeps an explicit
+    stack, one candidate mask and one untried mask per depth, so the
+    recursion limit does not bound k.
     """
+    n = len(out)
     if k > n:
         return None
     prefix, cands, untried = [0] * k, [0] * k, [0] * k
@@ -202,7 +204,7 @@ def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(d.out, d.num_vertices, k)
+    return _find_tk(d.out, k)
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:
@@ -243,7 +245,7 @@ def brute_max_arcs(n: int, k: int) -> int:
             for i in combo:
                 u, v = positions[i]
                 out[u] |= 1 << v
-            if _find_tk(out, n, k) is None:
+            if _find_tk(out, k) is None:
                 return count
     return 0
 
@@ -292,7 +294,6 @@ class CaroWeiReport:
     num_vertices: int
     k: int
     tk_free: bool
-    finite: bool
     sum_ratio: Optional[Fraction]
     bound: Fraction
     holds: bool
@@ -302,7 +303,7 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     """Evaluate the degree-ratio inequality on d.
 
     A vertex with m(v) = 1 makes the sum infinite; the report then carries
-    finite=False and holds=False by convention.  T_k-freeness of d is checked
+    sum_ratio=None and holds=False by convention.  T_k-freeness of d is checked
     and recorded but the sums are evaluated either way.
     """
     if k < 2:
@@ -314,10 +315,10 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     # m/(1-m) = x/(n-x) with x = max(d+(v), d-(v)), over one common denominator.
     xs = [max(o, i) for o, i in zip(outs, ins)]
     if n in xs:
-        return CaroWeiReport(n, k, tk_free, False, None, bound, False)
+        return CaroWeiReport(n, k, tk_free, None, bound, False)
     den = math.lcm(*(n - x for x in xs))
     total = Fraction(sum(x * (den // (n - x)) for x in xs), den)
-    return CaroWeiReport(n, k, tk_free, True, total, bound, total <= bound)
+    return CaroWeiReport(n, k, tk_free, total, bound, total <= bound)
 
 
 @dataclass(frozen=True)

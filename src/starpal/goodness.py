@@ -150,20 +150,15 @@ def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
     """
     if sorted(w.ordering) != list(range(f.num_vertices)):
         raise ValueError(f"ordering is not a permutation of 0..{f.num_vertices - 1}")
-    col, pairs = w.pair_coloring, f.relevant_pairs()
-    for pr in pairs:
+    col = w.pair_coloring
+    for pr in f.relevant_pairs():
         if pr not in col:
             raise ValueError(f"pair coloring misses pair {pr}")
-    # Keys that are exactly the (sorted) relevant pairs and int colors in range
-    # pass the loop below; otherwise it runs and raises the first error.
-    colors = col.values()
-    if not (len(col) == len(pairs) and set(map(type, colors)) <= {int}
-            and (not colors or (min(colors) >= 0 and max(colors) < p.num_colors))):
-        for pr, c in col.items():
-            if tuple(sorted(pr)) != tuple(pr):
-                raise ValueError(f"pair key {pr} is not sorted")
-            if not (0 <= c < p.num_colors):
-                raise ValueError(f"color {c} of pair {pr} out of range")
+    for pr, c in col.items():
+        if tuple(sorted(pr)) != tuple(pr):
+            raise ValueError(f"pair key {pr} is not sorted")
+        if not (0 <= c < p.num_colors):
+            raise ValueError(f"color {c} of pair {pr} out of range")
     rank = {v: i for i, v in enumerate(w.ordering)}
     triples = p.triples
     for a, b, c in f.edges:  # sorted, so (a, b), (a, c), (b, c) are the keys
@@ -265,7 +260,7 @@ def _star_certificate(out: Sequence[int], size: int, k: int,
     loop = _loop_vertex(out)
     if loop is not None:
         return (loop,) * k
-    tk = _find_tk(out, len(out), k, budget.spend)
+    tk = _find_tk(out, k, budget.spend)
     if tk is None:
         return None
     m = len(out) // 2
@@ -390,20 +385,20 @@ def _key(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-def brute_force_is_good(p: Palette, f: ThreeGraph, *,
-                        cap: int = DEFAULT_ENUM_CAP) -> Optional[GoodnessWitness]:
+def brute_force_is_good(p: Palette, f: ThreeGraph) -> Optional[GoodnessWitness]:
     """Oracle goodness decision by full enumeration of orderings and colorings.
 
-    Refuses (EnumerationCapExceeded) when m^q * n! exceeds cap, with q the
-    number of relevant pairs.  Shares no search machinery with is_good.
+    Refuses (EnumerationCapExceeded) when m^q * n! exceeds DEFAULT_ENUM_CAP,
+    with q the number of relevant pairs.  Shares no search machinery with
+    is_good.
     """
     n, m = f.num_vertices, p.num_colors
     pairs = f.relevant_pairs()
     q = len(pairs)
     cost = (m ** q) * math.factorial(n)
-    if cost > cap:
-        raise EnumerationCapExceeded(
-            f"enumeration size {cost} exceeds cap {cap} (m={m}, pairs={q}, n={n})")
+    if cost > DEFAULT_ENUM_CAP:
+        raise EnumerationCapExceeded(f"enumeration size {cost} exceeds cap "
+                                     f"{DEFAULT_ENUM_CAP} (m={m}, pairs={q}, n={n})")
     if not f.edges:
         return GoodnessWitness(tuple(range(n)), {})
     pidx = {pr: i for i, pr in enumerate(pairs)}

@@ -1,16 +1,16 @@
 """Searches for extremal S_k-bad palettes.
 
 Badness is closed under removing triples and colors, so only maximal bad
-palettes can carry the best objective value.  The exhaustive engine sweeps
-every palette on a fixed color count (optionally deduplicating by canonical
-form: one palette per color-relabeling class); the local engine restarts
-randomized greedy growth.  Every maximal bad palette is grown by `_grow`,
-one pass over a triple order.  The breadth-first sweep and `_grow` decide a
-bad base plus one triple by `_bad_extension`, from the base's aux masks with
-the triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
-digraph.  The engines offer sorted triple lists to `_Best`, and no search
-loop calls `canonical_form`.  Reported optima are re-verified bad, by brute
-force within its cap.
+palettes can carry the best objective value.  Exhaustive mode runs the plain
+sweep over every palette on a fixed color count, or with dedup the
+breadth-first sweep of one palette per color-relabeling class; the local
+engine restarts randomized greedy growth.  Every maximal bad palette is
+grown by `_grow`, one pass over a triple order.  The breadth-first sweep and
+`_grow` decide a bad base plus one triple by `_bad_extension`, from the
+base's aux masks with the triple's four arcs OR-ed in, so a candidate builds
+no Palette and no aux digraph.  The engines offer sorted triple lists to
+`_Best`, and no search loop calls `canonical_form`.  Reported optima are
+re-verified bad, by brute force within its cap.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded
 from .digraphs import _aux_masks
-from .goodness import (DEFAULT_ENUM_CAP, DEFAULT_NODE_BUDGET, ThreeGraph, _Budget,
-                       _star_certificate, brute_force_is_good, is_bad, make_star)
+from .goodness import (DEFAULT_NODE_BUDGET, ThreeGraph, _Budget, _star_certificate,
+                       brute_force_is_good, is_bad, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
                       _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
                       remove_color)
@@ -80,7 +80,6 @@ class SearchReport:
     num_candidates_examined: int
     num_bad_found: int
     exhaustive_certificate: bool
-    budget_exhausted: bool
 
 
 def _objective_fn(name: str, m: int) -> Callable[[list[Triple]], Fraction]:
@@ -126,7 +125,8 @@ def search(cfg: SearchConfig) -> SearchReport:
     best = _Best(_objective_fn(cfg.objective, m))
     best.offer([])  # the empty palette is S_k-bad
     exhaustive = cfg.mode == "exhaustive"
-    engine = _search_exhaustive if exhaustive else _search_local
+    engine = (_search_local if not exhaustive
+              else _sweep_canonical if cfg.dedup else _sweep_plain)
     examined, bad_found = engine(cfg, best)
     best_palette = Palette(m, frozenset(best.triples))
     if not exhaustive and m <= MAX_CANONICAL_COLORS:
@@ -139,7 +139,6 @@ def search(cfg: SearchConfig) -> SearchReport:
         num_candidates_examined=examined,
         num_bad_found=bad_found,
         exhaustive_certificate=exhaustive,
-        budget_exhausted=not exhaustive,
     )
 
 
@@ -147,16 +146,15 @@ def _verify_bad(p: Palette, star: ThreeGraph, node_budget: int) -> None:
     if not is_bad(p, star, node_budget=node_budget):
         raise RuntimeError("internal error: reported optimum is not bad")
     try:
-        oracle = brute_force_is_good(p, star, cap=DEFAULT_ENUM_CAP)
+        oracle = brute_force_is_good(p, star)
     except EnumerationCapExceeded:
         return
     if oracle is not None:
         raise RuntimeError("internal error: brute-force oracle disagrees on reported optimum")
 
 
-def _search_exhaustive(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
-    if cfg.dedup:
-        return _sweep_canonical(cfg, best)
+def _sweep_plain(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
+    """Every subset of the m^3 triples, each decided from scratch."""
     m = cfg.num_colors
     universe = list(iter_all_triples(m))
     examined = bad_found = 0
@@ -275,21 +273,19 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     return examined, bad_found
 
 
-def maximal_bad_extensions(p: Palette, k: int, *,
-                           node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
+def maximal_bad_extensions(p: Palette, k: int) -> Palette:
     """Greedily extend a bad palette to a maximal bad palette.
 
     Triples are tried once each, in lexicographic order (see `_grow`).
     Raises ValueError when p is not S_k-bad.
     """
     star = make_star(k)
-    if not is_bad(p, star, node_budget=node_budget):
+    if not is_bad(p, star):
         raise ValueError("palette is not bad; nothing to extend")
-    return _grow(p, iter_all_triples(p.num_colors), k, node_budget)
+    return _grow(p, iter_all_triples(p.num_colors), k, DEFAULT_NODE_BUDGET)
 
 
-def minimalize(p: Palette, k: int, *,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
+def minimalize(p: Palette, k: int) -> Palette:
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
     Each pass removes the color `minimality_check` returns.  Badness is
@@ -300,26 +296,24 @@ def minimalize(p: Palette, k: int, *,
     S_k-bad.
     """
     star = make_star(k)
-    if not is_bad(p, star, node_budget=node_budget):
+    if not is_bad(p, star):
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
     while (a := minimality_check(current)) is not None:
         current = remove_color(current, a)
-        assert is_bad(current, star, node_budget=node_budget)
+        assert is_bad(current, star)
     return current
 
 
-def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random, *,
-                               node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
+def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random) -> Palette:
     """Grow the empty palette by shuffled insertions until maximal bad."""
     triples = list(iter_all_triples(num_colors))
     rng.shuffle(triples)
-    return _grow(Palette.empty(num_colors), triples, k, node_budget)
+    return _grow(Palette.empty(num_colors), triples, k, DEFAULT_NODE_BUDGET)
 
 
-def random_bad_palette(k: int, num_colors: int, rng: random.Random, *,
-                       node_budget: int = DEFAULT_NODE_BUDGET) -> Palette:
+def random_bad_palette(k: int, num_colors: int, rng: random.Random) -> Palette:
     """A random subset of a random maximal bad palette (subsets stay bad)."""
-    base = random_maximal_bad_palette(k, num_colors, rng, node_budget=node_budget)
+    base = random_maximal_bad_palette(k, num_colors, rng)
     kept = frozenset(t for t in base.sorted_triples() if rng.random() < 0.75)
     return Palette(num_colors, kept)

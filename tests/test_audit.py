@@ -140,7 +140,7 @@ def _audit_charge(p, k):
     spent = [len(p.triples)]
     literal, block1, block2 = _arc_digraphs(p, AuxPolicy.LITERAL)
     for d in (block1, block2, literal, _arc_digraphs(p, AuxPolicy.OBSERVATION)[0]):
-        _find_tk(d.out, d.num_vertices, k, spent.append)
+        _find_tk(d.out, k, spent.append)
     return sum(spent)
 
 

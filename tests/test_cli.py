@@ -170,9 +170,15 @@ def test_search_output_parses():
     assert proc.returncode == 0
     comments = [l for l in proc.stdout.splitlines() if l.startswith("#")]
     assert any("best density 1/4" in l for l in comments)
+    assert "# examined 256 bad 4 certificate true budget_exhausted false" in comments
     body = "\n".join(l for l in proc.stdout.splitlines() if not l.startswith("#"))
     p = parse_palette(body + "\n")
     assert p.sorted_triples() == [(0, 1, 0), (1, 0, 1)]
+    proc = run("search", "--star", "3", "--colors", "2", "--mode", "local",
+               "--iterations", "20", "--json")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["certificate"] is False and doc["budget_exhausted"] is True
 
 
 def test_search_local_above_canonical_colors():
@@ -238,7 +244,11 @@ def test_large_star_with_loop_is_good(tmp_path):
     assert proc.stdout.splitlines()[0] == "verdict good"
 
 
-def test_usage_error_exits_2(bad_file):
+def test_usage_error_exits_2(bad_file, tmp_path):
+    # Building the aux masks of 10^18 colors raises MemoryError before any
+    # allocation, so the input fails the same way on every run.
+    huge = tmp_path / "huge.pal"
+    huge.write_text("palette 1000000000000000000\n")
     proc = run("turan-number", "--n", "2", "--k", "3")
     assert proc.returncode == 2
     proc = run("nonsense-command")
@@ -269,7 +279,9 @@ def test_usage_error_exits_2(bad_file):
                  ("search", "--star", "3", "--colors", "2", "--mode", "local", "--dedup"),
                  ("search", "--star", "3", "--colors", "2", "--mode", "local",
                   "--allow-large-exhaustive"),
-                 ("search", "--star", "3", "--colors", "2", "--allow-large-exhaustive")):
+                 ("search", "--star", "3", "--colors", "2", "--allow-large-exhaustive"),
+                 ("aux", str(huge)),
+                 ("check", str(huge), "--star", "3")):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")

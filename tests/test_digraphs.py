@@ -267,7 +267,7 @@ def test_degree_stats_matches_arc_scan(d):
 def test_caro_wei_directed_cycle():
     cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     rep = caro_wei_check(cycle, 3)
-    assert rep.tk_free and rep.finite
+    assert rep.tk_free
     assert rep.sum_ratio == Fraction(3, 2)
     assert rep.bound == 3
     assert rep.holds
@@ -285,7 +285,7 @@ def test_caro_wei_bidirected_k22_equality():
 def test_caro_wei_full_degree_vertex():
     d = Digraph(1, [(0, 0)])
     rep = caro_wei_check(d, 3)
-    assert not rep.finite and rep.sum_ratio is None
+    assert rep.sum_ratio is None
     assert not rep.holds
 
 

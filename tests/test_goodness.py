@@ -235,8 +235,12 @@ def test_star_route_good_verdicts_verify(k, p):
 
 def test_is_bad_on_non_stars_edgeless_graphs_and_empty_palettes():
     two_edges = ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])
+    # K_4^(3) is bad for 34 of these palettes, so its CSP reaches wipe-outs,
+    # re-queues and backtracks; the two-edge graph is good for every non-empty one.
+    k4 = ThreeGraph(4, itertools.combinations(range(4), 3))
     for p in all_palettes(2):
         _agrees_with_oracle(p, two_edges)
+        _agrees_with_oracle(p, k4)
         assert is_bad(p, ThreeGraph(3, [])) is False
     for k in (2, 3, 6):
         assert is_bad(Palette.empty(2), make_star(k)) is True
@@ -279,7 +283,7 @@ def test_star_certificate_checks_the_tk_it_returns(monkeypatch):
     p = Palette(2, [(0, 1, 0), (1, 0, 1)])
     star = make_star(2)
     assert not is_bad(p, star)
-    monkeypatch.setattr(starpal.goodness, "_find_tk", lambda out, n, k, spend=None: (0, 3))
+    monkeypatch.setattr(starpal.goodness, "_find_tk", lambda out, k, spend=None: (0, 3))
     with pytest.raises(AssertionError):
         is_bad(p, star)
     with pytest.raises(AssertionError):
@@ -305,6 +309,10 @@ def test_witness_shape_error_messages():
     too_big = GoodnessWitness((0, 1, 2), {**coloring, (0, 2): 2})
     with pytest.raises(ValueError, match=r"^color 2 of pair \(0, 2\) out of range$"):
         verify_witness(p, s, too_big)
+    # Items are checked in dict order: the first one's colour error comes first.
+    both = GoodnessWitness((0, 1, 2), {**coloring, (0, 1): 2, (1, 0): 0})
+    with pytest.raises(ValueError, match=r"^color 2 of pair \(0, 1\) out of range$"):
+        verify_witness(p, s, both)
 
 
 def _reference_verify(p, f, w):
