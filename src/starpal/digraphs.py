@@ -12,8 +12,10 @@ threshold is tight.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -194,6 +196,46 @@ def _find_tk(out: Sequence[int], k: int,
         prefix[depth] = v = low.bit_length() - 1
         cand = cands[depth] & out[v] & ~low
         depth += 1
+
+
+def _arc_free_classes(out: Sequence[int], k: int) -> Optional[list[int]]:
+    """At most k-1 vertex classes (as masks) with no arc inside any, or None.
+
+    First-fit greedy colouring of the underlying undirected graph, vertices
+    in increasing index.  Gives up (None) on a loop or when a vertex would
+    need a k-th class.  The k vertices of a T_k are pairwise joined, so no
+    two share a class: classes that pass `_is_arc_free_colouring` prove out
+    T_k-free and loopless.
+    """
+    adj = list(out)
+    for u, mask in enumerate(out):
+        while mask:
+            low = mask & -mask
+            adj[low.bit_length() - 1] |= 1 << u
+            mask ^= low
+    classes: list[int] = []
+    for v, nbrs in enumerate(adj):
+        if nbrs >> v & 1:
+            return None
+        for i, cls in enumerate(classes):
+            if not nbrs & cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            if len(classes) >= k - 1:
+                return None
+            classes.append(1 << v)
+    return classes
+
+
+def _is_arc_free_colouring(out: Sequence[int], classes: Sequence[int], k: int) -> bool:
+    """Whether classes split out's vertices into fewer than k disjoint classes
+    with no arc, loops included, from a vertex into its own class."""
+    n = len(out)
+    if (len(classes) >= k or sum(cls.bit_count() for cls in classes) != n
+            or functools.reduce(operator.or_, classes, 0) != (1 << n) - 1):
+        return False
+    return all(not out[v] & cls for cls in classes for v in range(n) if cls >> v & 1)
 
 
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:

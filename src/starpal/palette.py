@@ -119,11 +119,11 @@ def admissible_pairs(p: Palette, i: int, j: int) -> frozenset[tuple[int, int]]:
 def compute_stats(p: Palette) -> PaletteStats:
     """Exact density, minimum slice degree, and admissibility degrees of p."""
     m = p.num_colors
-    slices = [[0, 0, 0] for _ in range(m)]
+    slices = [0] * (3 * m)  # slices[3a + i]: triples with color a at position i
     pair_sets: dict[tuple[int, int], set[tuple[int, int]]] = {pr: set() for pr in POSITION_PAIRS}
     for t in p.triples:
         for i in range(3):
-            slices[t[i]][i] += 1
+            slices[3 * t[i] + i] += 1
         for (i, j) in POSITION_PAIRS:
             pair_sets[(i, j)].add((t[i - 1], t[j - 1]))
     adm = []
@@ -132,13 +132,13 @@ def compute_stats(p: Palette) -> PaletteStats:
         for (a, _b) in pair_sets[(i, j)]:
             row[a] += 1
         adm.append(tuple(row))
-    min_slice = min(slices[a][i] for a in range(m) for i in range(3))
+    min_slice = min(slices)
     return PaletteStats(
         num_colors=m,
         num_triples=len(p.triples),
         density=Fraction(len(p.triples), m ** 3),
         min_degree=Fraction(min_slice, m * m),
-        slice_counts=tuple(tuple(row) for row in slices),
+        slice_counts=tuple(tuple(slices[3 * a:3 * a + 3]) for a in range(m)),
         adm_degree=tuple(adm),
     )
 

@@ -9,8 +9,12 @@ grown by `_grow`, one pass over a triple order.  The breadth-first sweep and
 `_grow` decide a bad base plus one triple by `_bad_extension`, from the
 base's aux masks with the triple's four arcs OR-ed in, so a candidate builds
 no Palette and no aux digraph.  The engines offer sorted triple lists to
-`_Best`, and no search loop calls `canonical_form`.  Reported optima are
-re-verified bad, by brute force within its cap.
+`_Best`, and no search loop calls `canonical_form`.  A triple (x, x, z) or
+(x, y, y) puts a loop in the aux digraph by itself, so `_bad_extension`
+rejects it without building any masks.  Reported optima are re-verified
+bad: by `is_bad`, then by a checked colouring of the aux digraph into k-1
+arc-free classes, or, where greedy finds none, by the brute-force oracle
+within its cap.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .audit import minimality_check
-from .errors import EnumerationCapExceeded
-from .digraphs import _aux_masks
+from .errors import BudgetExceeded, EnumerationCapExceeded
+from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
 from .goodness import (DEFAULT_NODE_BUDGET, ThreeGraph, _Budget, _star_certificate,
                        brute_force_is_good, is_bad, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
@@ -143,8 +147,17 @@ def search(cfg: SearchConfig) -> SearchReport:
 
 
 def _verify_bad(p: Palette, star: ThreeGraph, node_budget: int) -> None:
+    """Raise RuntimeError unless p is S_k-bad by `is_bad` and by an independent
+    check: k-1 arc-free classes of its aux digraph, else the brute-force oracle."""
     if not is_bad(p, star, node_budget=node_budget):
         raise RuntimeError("internal error: reported optimum is not bad")
+    k = star.num_vertices - 1
+    out = _aux_masks(p.num_colors, p.triples)
+    classes = _arc_free_classes(out, k)
+    if classes is not None:
+        if not _is_arc_free_colouring(out, classes, k):
+            raise RuntimeError("internal error: colouring certificate fails its check")
+        return
     try:
         oracle = brute_force_is_good(p, star)
     except EnumerationCapExceeded:
@@ -184,9 +197,9 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     examined, bad_found = 1, 1  # the empty palette is bad
     bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
     level = {0}  # the empty palette's mask
-    seen_good: set[int] = set()
     while level:
         next_level: set[int] = set()
+        seen_good: set[int] = set()  # a key's popcount is its level: none recur later
         for key in sorted(level, reverse=True):  # one size: ascending triple lists
             base = _mask_triples(m, key)
             out = _aux_masks(m, base)
@@ -224,7 +237,15 @@ def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
     out holds the LITERAL aux masks of a base of `size` triples and t is
     absent from it.  The verdict and its charge (a fresh budget, |base| + 1
     and one per T_k node) are those of `is_bad(base.with_triple(t), S_k)`.
+    A triple (x, x, z) or (x, y, y) gives the loop m+x -> m+y or y -> z, so
+    it is rejected after the |base| + 1 charge alone, with no masks built.
+    node_budget must be positive.
     """
+    x, y, z = t
+    if x == y or y == z:
+        if size + 1 > node_budget:
+            raise BudgetExceeded(size + 1, node_budget)
+        return None
     trial = _aux_masks(len(out) // 2, [t], out=out)
     if _star_certificate(trial, size + 1, k, _Budget(node_budget)) is None:
         return trial

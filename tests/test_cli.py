@@ -181,6 +181,52 @@ def test_search_output_parses():
     assert doc["certificate"] is False and doc["budget_exhausted"] is True
 
 
+BFS_K5 = ("--star", "5", "--colors", "3", "--dedup", "--allow-large-exhaustive")
+
+# `starpal search` stdout on the benchmark's four extremal searches:
+# (argv, config line, counts line, best density, colors, triples).
+SEARCH_GOLDEN = {
+    "plain-m2-k3": (
+        ("--star", "3", "--colors", "2"),
+        "k=3 colors=2 objective=density mode=exhaustive seed=0 dedup=false",
+        "examined 256 bad 4 certificate true budget_exhausted false", "1/4", 2, "010 101"),
+    "dedup-m3-k3": (
+        ("--star", "3", "--colors", "3", "--dedup", "--allow-large-exhaustive"),
+        "k=3 colors=3 objective=density mode=exhaustive seed=0 dedup=true",
+        "examined 712 bad 41 certificate true budget_exhausted false", "2/9", 3,
+        "010 012 101 121 210 212"),
+    "dedup-m3-k5": (
+        BFS_K5,
+        "k=5 colors=3 objective=density mode=exhaustive seed=0 dedup=true",
+        "examined 9688 bad 626 certificate true budget_exhausted false", "10/27", 3,
+        "010 012 020 021 101 102 121 202 210 212"),
+    "local-m5-k5": (
+        ("--star", "5", "--colors", "5", "--mode", "local", "--seed", "0",
+         "--iterations", "100"),
+        "k=5 colors=5 objective=density mode=local seed=0 dedup=false",
+        "examined 100 bad 36 certificate false budget_exhausted true", "7/25", 5,
+        "010 012 013 014 020 021 023 024 030 034 101 120 121 141 213 232 242 243 "
+        "301 303 321 323 324 341 343 402 403 410 412 413 414 430 431 432 434"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
+def test_search_stdout_is_pinned(capsys, name):
+    argv, config, counts, best, m, triples = SEARCH_GOLDEN[name]
+    assert main(["search", *argv]) == 0
+    body = "".join(" ".join(word) + "\n" for word in triples.split())
+    assert capsys.readouterr().out == (f"# search {config}\n# {counts}\n"
+                                       f"# best density {best}\npalette {m}\n{body}")
+
+
+@pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41)])
+def test_search_budget_exhaustion_is_pinned(capsys, budget, spent):
+    assert main(["search", *BFS_K5, "--node-budget", str(budget)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: node budget exhausted ({spent} checks, budget {budget})\n"
+
+
 def test_search_local_above_canonical_colors():
     # Nine colors is past canonical_form's reach; the report is a representative.
     proc = run("search", "--star", "4", "--colors", "9", "--mode", "local",
@@ -245,8 +291,8 @@ def test_large_star_with_loop_is_good(tmp_path):
 
 
 def test_usage_error_exits_2(bad_file, tmp_path):
-    # Building the aux masks of 10^18 colors raises MemoryError before any
-    # allocation, so the input fails the same way on every run.
+    # The aux masks and slice counts of 10^18 colors raise MemoryError before
+    # any allocation, so the input fails the same way on every run.
     huge = tmp_path / "huge.pal"
     huge.write_text("palette 1000000000000000000\n")
     proc = run("turan-number", "--n", "2", "--k", "3")
@@ -281,7 +327,8 @@ def test_usage_error_exits_2(bad_file, tmp_path):
                   "--allow-large-exhaustive"),
                  ("search", "--star", "3", "--colors", "2", "--allow-large-exhaustive"),
                  ("aux", str(huge)),
-                 ("check", str(huge), "--star", "3")):
+                 ("check", str(huge), "--star", "3"),
+                 ("stats", str(huge))):
         proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")

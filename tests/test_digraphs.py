@@ -13,6 +13,7 @@ from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
                      iter_loopless_digraphs, parse_digraph, serialize_digraph,
                      tk_square_check, tripartite_construction, tripartite_report,
                      turan_max_arcs)
+from starpal.digraphs import _arc_free_classes, _find_tk, _is_arc_free_colouring
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -391,3 +392,53 @@ def test_turan_max_arcs_matches_fraction_formula():
         for n in range(k, 61):
             a = n % (k - 1)
             assert turan_max_arcs(n, k) == Fraction(k - 2, k - 1) * (n * n - a * a) + a * (a - 1)
+
+
+def test_arc_free_certificate_implies_tk_free():
+    certified = set()
+    for n in range(5):
+        for d in iter_loopless_digraphs(n):
+            for k in range(2, 6):
+                classes = _arc_free_classes(d.out, k)
+                if classes is not None:
+                    assert _is_arc_free_colouring(d.out, classes, k)
+                    assert _find_tk(d.out, k) is None, (d.out, k)
+                    certified.add(k)
+    assert certified == {2, 3, 4, 5}
+    # First-fit in index order can need more classes than the chromatic number:
+    # the path 0-1-3-2 is 2-colourable, but 3 meets both of greedy's classes.
+    path = Digraph(4, [(0, 1), (1, 3), (3, 2)]).out
+    assert _arc_free_classes(path, 3) is None
+    assert _is_arc_free_colouring(path, [0b1001, 0b0110], 3)
+
+
+def test_arc_free_colouring_rejects_tampered_classes():
+    tampered = 0
+    for d in iter_loopless_digraphs(3):
+        classes = _arc_free_classes(d.out, 4)
+        for v in range(3):
+            home = next(i for i, cls in enumerate(classes) if cls >> v & 1)
+            nbrs = d.out[v] | sum(1 << u for u in range(3) if d.out[u] >> v & 1)
+            for i, cls in enumerate(classes):
+                if i != home and cls & nbrs:
+                    moved = list(classes)
+                    moved[home] ^= 1 << v
+                    moved[i] |= 1 << v
+                    assert not _is_arc_free_colouring(d.out, moved, 4), (d.out, moved)
+                    tampered += 1
+    assert tampered
+    out = Digraph(3, [(0, 1)]).out
+    assert _is_arc_free_colouring(out, [0b101, 0b010], 3)
+    assert not _is_arc_free_colouring(out, [0b101, 0b010], 2)  # k classes
+    assert not _is_arc_free_colouring(out, [0b001, 0b010], 3)  # vertex 2 uncovered
+    assert not _is_arc_free_colouring(out, [0b101, 0b110], 3)  # vertex 2 twice
+
+
+def test_looped_digraph_gets_no_arc_free_certificate():
+    for n in range(1, 4):
+        for d in iter_loopless_digraphs(n):
+            for v in range(n):
+                looped = list(d.out)
+                looped[v] |= 1 << v
+                assert _arc_free_classes(looped, n + 1) is None
+                assert not _is_arc_free_colouring(looped, [1 << u for u in range(n)], n + 1)

@@ -10,10 +10,10 @@ from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digra
                      iter_all_triples, make_star, maximal_bad_extensions,
                      minimality_check, minimalize, random_bad_palette,
                      random_maximal_bad_palette, search)
-from starpal.digraphs import _aux_masks, _find_tk
+from starpal.digraphs import _arc_free_classes, _aux_masks, _find_tk
 from starpal.palette import _mask_triples, _relabeled_masks
 from starpal.goodness import DEFAULT_NODE_BUDGET
-from starpal.search import _bad_extension, _extension_keys, _grow
+from starpal.search import _bad_extension, _extension_keys, _grow, _verify_bad
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -172,6 +172,50 @@ def _assert_maximal_bad(p, star):
     for t in iter_all_triples(p.num_colors):
         if t not in p.triples:
             assert is_good(p.with_triple(t), star) is not None, t
+
+
+def _count_oracle_calls(monkeypatch):
+    calls = []
+    mod = importlib.import_module("starpal.search")
+    oracle = mod.brute_force_is_good
+
+    def counting(p, f):
+        calls.append(p)
+        return oracle(p, f)
+
+    monkeypatch.setattr(mod, "brute_force_is_good", counting)
+    return calls
+
+
+def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    for p, k in ((OPTIMUM, 3), (Palette.empty(3), 2), (Palette(2, [(0, 1, 0)]), 3)):
+        _verify_bad(p, make_star(k), DEFAULT_NODE_BUDGET)
+    assert calls == []
+    # {101} is S_3-bad and its aux digraph is the path 0-1-3-2, which is
+    # 2-colourable; first-fit colours 0 and 2 alike, so 3 needs a third class.
+    # Of the 256 two-color palettes it is the one bad palette at k = 3..5
+    # that greedy does not certify.
+    lone = Palette(2, [(1, 0, 1)])
+    universe = list(iter_all_triples(2))
+    uncertified = [
+        (p, k) for p in (Palette(2, [t for i, t in enumerate(universe) if bits >> i & 1])
+                         for bits in range(1 << len(universe)))
+        for k in (3, 4, 5)
+        if is_bad(p, make_star(k)) and _arc_free_classes(_aux_masks(2, p.triples), k) is None]
+    assert uncertified == [(lone, 3)]
+    _verify_bad(lone, make_star(3), DEFAULT_NODE_BUDGET)
+    assert calls == [lone]
+
+
+def test_verify_bad_raises_on_good_palettes(monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    for p, k in ((Palette.full(2), 3), (OPTIMUM.with_triple((0, 0, 0)), 5),
+                 (Palette(2, [(0, 1, 0), (1, 0, 0)]), 3)):
+        assert is_good(p, make_star(k)) is not None
+        with pytest.raises(RuntimeError, match="not bad"):
+            _verify_bad(p, make_star(k), DEFAULT_NODE_BUDGET)
+    assert calls == []
 
 
 def test_maximal_bad_extensions():
