@@ -3,13 +3,14 @@
 Thin argument handling over the library; all output is deterministic (sets
 are sorted before printing) so repeated runs are byte-identical.  Exit codes:
 0 success / property holds, 1 property violated, 2 usage or input error,
-3 budget or enumeration cap exhausted.
+3 budget or enumeration cap exhausted, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 # The least k each verify lemma is stated for.
 VERIFY_MIN_K = {"caro-wei": 2, "brown-harary": 3, "tk-square": 4}
@@ -408,7 +410,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:  # the reader left (`| head`): stop, and keep shutdown quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

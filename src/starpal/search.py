@@ -1,20 +1,19 @@
 """Searches for extremal S_k-bad palettes.
 
 Badness is closed under removing triples and colors, so only maximal bad
-palettes can carry the best objective value.  Exhaustive mode runs the plain
-sweep over every palette on a fixed color count, or with dedup the
-breadth-first sweep of one palette per color-relabeling class; the local
-engine restarts randomized greedy growth.  Every maximal bad palette is
-grown by `_grow`, one pass over a triple order.  The breadth-first sweep and
-`_grow` decide a bad base plus one triple by `_bad_extension`, from the
-base's aux masks with the triple's four arcs OR-ed in, so a candidate builds
-no Palette and no aux digraph.  The engines offer sorted triple lists to
-`_Best`, and no search loop calls `canonical_form`.  A triple (x, x, z) or
-(x, y, y) puts a loop in the aux digraph by itself, so `_bad_extension`
-rejects it without building any masks.  Reported optima are re-verified
-bad: by `is_bad`, then by a checked colouring of the aux digraph into k-1
-arc-free classes, or, where greedy finds none, by the brute-force oracle
-within its cap.
+palettes can carry the best objective value.  Exhaustive mode has one
+engine, the breadth-first sweep of one palette per color-relabeling class,
+and counts classes with dedup or palettes without it; the local engine
+restarts randomized greedy growth.  Every maximal bad palette is grown by
+`_grow`, one pass over a triple order.  The sweep and `_grow` decide a bad
+base plus one triple by `_bad_extension`, from the base's aux masks with the
+triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
+digraph; a triple (x, x, z) or (x, y, y) puts a loop in the aux digraph by
+itself and builds no masks at all.  The engines offer sorted triple lists to
+`_Best`, and no search loop calls `canonical_form`.  Reported optima are
+re-verified bad: by their star decision, then by a checked colouring of the
+aux digraph into k-1 arc-free classes, or, where greedy finds none, by the
+brute-force oracle within its cap.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .audit import minimality_check
 from .errors import BudgetExceeded, EnumerationCapExceeded
 from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
-from .goodness import (DEFAULT_NODE_BUDGET, ThreeGraph, _Budget, _star_certificate,
-                       brute_force_is_good, is_bad, make_star)
+from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_certificate, brute_force_is_good,
+                       is_bad, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
                       _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
                       remove_color)
@@ -37,8 +36,8 @@ from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
 OBJECTIVES = ("density", "min_degree")
 MODES = ("exhaustive", "local")
 
-# Exhaustive sweeps above 2 colors explode (2^27 palettes at m=3); the m=3
-# sweep exists behind an explicit override and requires canonical dedup.
+# Exhaustive mode takes up to 2 colors, or 3 with dedup behind an explicit
+# override; the class sweep's cost follows the number of bad classes, not 2^(m^3).
 MAX_PLAIN_EXHAUSTIVE_COLORS = 2
 
 
@@ -96,9 +95,9 @@ class _Best:
     """Incumbent: the greatest objective value, ties broken toward the
     lexicographically least sorted triple list, taken as offered.
 
-    The plain sweep offers every relabeling of every bad palette and the
-    deduplicating sweep each class's canonical form, so both keep the least
-    optimal canonical form.  Lists, not masks: min_degree ties palettes of
+    The exhaustive sweep offers each class's canonical form, the least
+    sorted triple list among its relabelings, so it keeps the least optimal
+    palette overall.  Lists, not masks: min_degree ties palettes of
     different sizes.
     """
 
@@ -124,18 +123,23 @@ def search(cfg: SearchConfig) -> SearchReport:
     representative of their class.  Exhaustive runs carry a certificate;
     local runs never do, and they spend their whole budget.
     """
-    star = make_star(cfg.k)
     m = cfg.num_colors
     best = _Best(_objective_fn(cfg.objective, m))
     best.offer([])  # the empty palette is S_k-bad
     exhaustive = cfg.mode == "exhaustive"
-    engine = (_search_local if not exhaustive
-              else _sweep_canonical if cfg.dedup else _sweep_plain)
-    examined, bad_found = engine(cfg, best)
+    if not exhaustive:
+        examined, bad_found = _search_local(cfg, best)
+    else:
+        examined, classes = _sweep_canonical(cfg, best)
+        bad_found = len(classes)
+        if not cfg.dedup:  # count palettes: each bad class has its distinct relabelings
+            examined = 2 ** m ** 3
+            bad_found = sum(len(set(_relabeled_masks(m, _mask_triples(m, key))))
+                            for key in classes)
     best_palette = Palette(m, frozenset(best.triples))
     if not exhaustive and m <= MAX_CANONICAL_COLORS:
         best_palette = canonical_form(best_palette)
-    _verify_bad(best_palette, star, cfg.node_budget)
+    _verify_bad(best_palette, cfg.k, cfg.node_budget)
     return SearchReport(
         config=cfg,
         best_palette=best_palette,
@@ -146,42 +150,27 @@ def search(cfg: SearchConfig) -> SearchReport:
     )
 
 
-def _verify_bad(p: Palette, star: ThreeGraph, node_budget: int) -> None:
-    """Raise RuntimeError unless p is S_k-bad by `is_bad` and by an independent
-    check: k-1 arc-free classes of its aux digraph, else the brute-force oracle."""
-    if not is_bad(p, star, node_budget=node_budget):
-        raise RuntimeError("internal error: reported optimum is not bad")
-    k = star.num_vertices - 1
+def _verify_bad(p: Palette, k: int, node_budget: int) -> None:
+    """Raise RuntimeError unless p is S_k-bad by its star decision and by an
+    independent check: k-1 arc-free classes of its aux digraph, else (first
+    fit needs at most 2m classes, so only at k <= 2m) the brute-force oracle."""
     out = _aux_masks(p.num_colors, p.triples)
+    if _star_certificate(out, len(p.triples), k, _Budget(node_budget)) is not None:
+        raise RuntimeError("internal error: reported optimum is not bad")
     classes = _arc_free_classes(out, k)
     if classes is not None:
         if not _is_arc_free_colouring(out, classes, k):
             raise RuntimeError("internal error: colouring certificate fails its check")
         return
     try:
-        oracle = brute_force_is_good(p, star)
+        oracle = brute_force_is_good(p, make_star(k))
     except EnumerationCapExceeded:
         return
     if oracle is not None:
         raise RuntimeError("internal error: brute-force oracle disagrees on reported optimum")
 
 
-def _sweep_plain(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
-    """Every subset of the m^3 triples, each decided from scratch."""
-    m = cfg.num_colors
-    universe = list(iter_all_triples(m))
-    examined = bad_found = 0
-    for bits in range(1 << len(universe)):
-        chosen = [universe[i] for i in range(len(universe)) if (bits >> i) & 1]
-        examined += 1
-        if _star_certificate(_aux_masks(m, chosen), len(chosen), cfg.k,
-                             _Budget(cfg.node_budget)) is None:
-            bad_found += 1
-            best.offer(chosen)
-    return examined, bad_found
-
-
-def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
+def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
     """Breadth-first sweep of canonical bad palettes, one per relabeling class.
 
     Badness is closed downward, so every bad palette with t+1 triples is a
@@ -191,10 +180,11 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     Classes are canonical masks (see `canonical_form`), and each bad class is
     offered as its canonical triple list.  Each base's aux masks are built
     once and every extension is decided from them by `_bad_extension`, so no
-    candidate builds a Palette.
+    candidate builds a Palette.  Returns the candidates decided and every bad
+    class's key, the empty palette's 0 included.
     """
     m = cfg.num_colors
-    examined, bad_found = 1, 1  # the empty palette is bad
+    examined, classes = 1, [0]  # the empty palette is bad
     bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
     level = {0}  # the empty palette's mask
     while level:
@@ -209,12 +199,12 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
                 examined += 1
                 if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is not None:
                     next_level.add(ckey)
-                    bad_found += 1
                     best.offer(_mask_triples(m, ckey))
                 else:
                     seen_good.add(ckey)
+        classes += next_level
         level = next_level
-    return examined, bad_found
+    return examined, classes
 
 
 def _extension_keys(m: int, base: list[Triple],

@@ -245,6 +245,18 @@ def test_construct_output_parses():
     assert d.num_arcs == 54
 
 
+def test_closed_stdout_exits_141_quietly():
+    # The 98 KB of output outlast a 64 KiB pipe buffer, so the writer meets
+    # the closed pipe after the reader leaves at the first line.
+    with subprocess.Popen([sys.executable, "-m", "starpal", "construct", "tripartite",
+                           "--n", "150", "--eps", "0"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "# construct tripartite n=150 eps=0 parts=50/50/50\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ""
+
+
 def test_bounds():
     assert run("bounds", "--k", "5").stdout == "lower 7/16 upper 9/16\n"
     doc = json.loads(run("bounds", "--k", "3", "--json").stdout)

@@ -190,7 +190,7 @@ def _count_oracle_calls(monkeypatch):
 def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
     for p, k in ((OPTIMUM, 3), (Palette.empty(3), 2), (Palette(2, [(0, 1, 0)]), 3)):
-        _verify_bad(p, make_star(k), DEFAULT_NODE_BUDGET)
+        _verify_bad(p, k, DEFAULT_NODE_BUDGET)
     assert calls == []
     # {101} is S_3-bad and its aux digraph is the path 0-1-3-2, which is
     # 2-colourable; first-fit colours 0 and 2 alike, so 3 needs a third class.
@@ -204,7 +204,7 @@ def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
         for k in (3, 4, 5)
         if is_bad(p, make_star(k)) and _arc_free_classes(_aux_masks(2, p.triples), k) is None]
     assert uncertified == [(lone, 3)]
-    _verify_bad(lone, make_star(3), DEFAULT_NODE_BUDGET)
+    _verify_bad(lone, 3, DEFAULT_NODE_BUDGET)
     assert calls == [lone]
 
 
@@ -214,8 +214,21 @@ def test_verify_bad_raises_on_good_palettes(monkeypatch):
                  (Palette(2, [(0, 1, 0), (1, 0, 0)]), 3)):
         assert is_good(p, make_star(k)) is not None
         with pytest.raises(RuntimeError, match="not bad"):
-            _verify_bad(p, make_star(k), DEFAULT_NODE_BUDGET)
+            _verify_bad(p, k, DEFAULT_NODE_BUDGET)
     assert calls == []
+
+
+def test_search_builds_no_star_past_the_oracle(monkeypatch):
+    # First fit colours 2m aux vertices in at most 2m classes, so k > 2m never
+    # reaches the oracle and the k-star (k(k-1)/2 edges) is never built.
+    def refuse(k):
+        raise AssertionError(f"make_star({k}) called")
+
+    monkeypatch.setattr(importlib.import_module("starpal.search"), "make_star", refuse)
+    report = search(SearchConfig(k=2000, num_colors=2))
+    assert report.best_objective == Fraction(1, 4)
+    assert report.num_candidates_examined == 256
+    assert report.num_bad_found == 4
 
 
 def test_maximal_bad_extensions():
@@ -360,7 +373,7 @@ def test_exhaustive_best_is_least_optimal_canonical_form(m, objective):
     universe = list(iter_all_triples(m))
     subsets = [Palette(m, [t for i, t in enumerate(universe) if bits >> i & 1])
                for bits in range(1 << len(universe))]
-    for k in range(2, 7):
+    for k in range(2, 8):
         star = make_star(k)
         bad = [p for p in subsets if is_bad(p, star)]
         top = max(map(value, bad))
@@ -370,6 +383,11 @@ def test_exhaustive_best_is_least_optimal_canonical_form(m, objective):
             report = search(SearchConfig(k=k, num_colors=m, objective=objective,
                                          mode="exhaustive", dedup=dedup))
             assert (report.best_palette, report.best_objective) == (expected, top), (k, dedup)
+            if dedup:  # relabeling classes
+                assert report.num_bad_found == len(set(map(canonical_form, bad))), k
+            else:  # palettes
+                assert report.num_candidates_examined == len(subsets) == 2 ** m ** 3
+                assert report.num_bad_found == len(bad), k
 
 
 def test_incremental_keys_match_canonical_form():
