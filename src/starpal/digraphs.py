@@ -270,26 +270,35 @@ def turan_max_arcs(n: int, k: int) -> int:
 
 
 def brute_max_arcs(n: int, k: int) -> int:
-    """Oracle for turan_max_arcs: enumerate loopless digraphs on n vertices.
+    """Oracle for turan_max_arcs: branch-and-bound over T_k-free loopless digraphs.
 
-    Scans arc subsets by descending arc count and returns the first count
-    admitting a T_k-free digraph, which is exactly the maximum.  Refuses
-    n(n-1) > 20 arc positions (n <= 5).
+    A digraph holding a T_k keeps it when arcs are added, so a DFS that adds
+    arcs in position order and extends only T_k-free sets still reaches every
+    T_k-free digraph; a branch stops once its arcs plus the positions left
+    cannot beat the best count.  Each nonempty digraph is isomorphic to one
+    with the arc 0 -> 1, so the root tries that arc alone.  No seed or bound
+    comes from the closed form.  Refuses n(n-1) > 20 arc positions (n <= 5).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     positions = _arc_positions(n)
-    for count in range(len(positions), -1, -1):
-        for combo in itertools.combinations(range(len(positions)), count):
-            out = [0] * n
-            for i in combo:
-                u, v = positions[i]
-                out[u] |= 1 << v
+    out = [0] * n
+
+    def extend(i: int, size: int, best: int) -> int:
+        best = max(best, size)
+        for j in range(i, len(positions) if size else 1):  # the root tries 0 -> 1 only
+            if size + len(positions) - j <= best:
+                break
+            u, v = positions[j]
+            out[u] ^= 1 << v
             if _find_tk(out, k) is None:
-                return count
-    return 0
+                best = extend(j + 1, size + 1, best)
+            out[u] ^= 1 << v
+        return best
+
+    return extend(0, 0, 0)
 
 
 def _arc_positions(n: int) -> list[Arc]:

@@ -154,6 +154,23 @@ def test_verify_lemmas():
     assert proc.returncode == 0
 
 
+def test_brown_harary_at_five_vertices_is_pinned():
+    # Exact stdout at n = 5, where brute_max_arcs does the most work.
+    golden = {
+        ("verify", "--lemma", "brown-harary", "--max-n", "5", "--k", "3"):
+            "lemma brown-harary k=3\nn=3 formula=4 brute=4 ok\nn=4 formula=8 brute=8 ok\n"
+            "n=5 formula=12 brute=12 ok\nresult all-hold checked=3 violations=0\n",
+        ("verify", "--lemma", "brown-harary", "--max-n", "5", "--k", "4"):
+            "lemma brown-harary k=4\nn=4 formula=10 brute=10 ok\nn=5 formula=16 brute=16 ok\n"
+            "result all-hold checked=2 violations=0\n",
+        ("turan-number", "--n", "5", "--k", "3", "--brute", "--json"):
+            '{"agree": true, "brute": 12, "formula": 12, "k": 3, "n": 5}\n',
+    }
+    for args, stdout in golden.items():
+        proc = run(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, ""), args
+
+
 def test_audit_formats(bad_file):
     kv = run("audit", bad_file, "--star", "5", "--kv")
     assert kv.returncode == 0

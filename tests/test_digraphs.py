@@ -236,6 +236,50 @@ def test_brute_max_arcs_small():
         brute_max_arcs(6, 3)
 
 
+def _descending_scan_max_arcs(n, k):
+    """Reference oracle: every arc subset by descending arc count, the first
+    T_k-free one's count (the maximum)."""
+    positions = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for count in range(len(positions), -1, -1):
+        for combo in itertools.combinations(positions, count):
+            out = [0] * n
+            for u, v in combo:
+                out[u] |= 1 << v
+            if _find_tk(out, k) is None:
+                return count
+    return 0
+
+
+def test_brute_max_arcs_matches_descending_scan():
+    cases = [(n, k) for n in range(5) for k in range(1, 7)]
+    cases += [(5, k) for k in range(3, 8)]
+    for n, k in cases:
+        assert brute_max_arcs(n, k) == _descending_scan_max_arcs(n, k), (n, k)
+    for n, k, message in ((3, 0, "k must be positive, got 0"),
+                          (-1, 3, "n must be nonnegative, got -1"),
+                          (6, 0, "k must be positive, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_max_arcs(n, k)
+
+
+def test_brute_max_arcs_extends_only_tk_free_arc_sets(monkeypatch):
+    # The descending scan made 156,410 T_3 searches at n = 5.
+    calls = []
+
+    def counting(out, k, spend=None):
+        calls.append(k)
+        return _find_tk(out, k, spend)
+
+    monkeypatch.setattr("starpal.digraphs._find_tk", counting)
+    monkeypatch.setattr("starpal.digraphs.turan_max_arcs", None)
+    assert brute_max_arcs(5, 3) == 12
+    assert 0 < len(calls) <= 2000
+    for k in (1, 2):  # the one-arc digraph holds a T_k: answered at the root
+        calls.clear()
+        assert brute_max_arcs(5, k) == 0
+        assert calls == [k]
+
+
 def test_iter_loopless_digraphs_counts():
     # Reference order: bit i of the subset counter picks the i-th u-major arc.
     for n in range(4):

@@ -278,6 +278,27 @@ def test_minimalize_agrees_with_minimality_check():
     assert shrunk
 
 
+def test_maximal_bad_extensions_and_minimalize_build_no_star(monkeypatch):
+    # Two or three colours give at most 6 aux vertices, so k = 5 and k = 1000
+    # have the same bad palettes; the 1000-star has 499,500 edges.
+    wide = Palette(3, [(0, 1, 0), (1, 0, 1)])
+    extended = maximal_bad_extensions(Palette.empty(2), 5)
+    shrunk = minimalize(wide, 5)
+
+    def refuse(k):
+        raise AssertionError(f"make_star({k}) called")
+
+    monkeypatch.setattr(importlib.import_module("starpal.search"), "make_star", refuse)
+    assert maximal_bad_extensions(Palette.empty(2), 1000) == extended == OPTIMUM
+    assert minimalize(wide, 1000) == shrunk
+    assert minimalize(OPTIMUM, 1000) == OPTIMUM
+    for fn in (maximal_bad_extensions, minimalize):
+        with pytest.raises(ValueError, match=r"^a star needs at least 2 leaves, got k=1$"):
+            fn(OPTIMUM, 1)
+        with pytest.raises(ValueError, match="palette is not bad"):
+            fn(Palette.full(2), 1000)
+
+
 def test_random_bad_palettes_are_bad():
     star = make_star(3)
     for seed in range(6):
