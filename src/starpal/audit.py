@@ -167,7 +167,6 @@ class ColorRow:
     s3: Fraction
     e21: Fraction
     e23: Fraction
-    product: Fraction
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,6 @@ def audit_chain(p: Palette, k: int, *,
         case=cases[a],
         s1=fr[sum1[a], 2 * n], s3=fr[sum3[a], 2 * n],
         e21=fr[d21[a], n], e23=fr[d23[a], n],
-        product=fr[d21[a] * d23[a], n * n],
     ) for a in colors)
 
     exclusion_bound = cube - xs.union
@@ -603,9 +601,9 @@ def format_audit_kv(report: AuditReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def audit_to_jsonable(report: AuditReport) -> dict:
-    """A plain-dict view of the report with fractions rendered as `p/q`."""
-    return {
+def audit_to_json(report: AuditReport) -> str:
+    """The report as one sorted-key JSON document, fractions rendered as `p/q`."""
+    return json.dumps({
         "k": report.k,
         "colors": report.num_colors,
         "density": str(report.density),
@@ -648,8 +646,4 @@ def audit_to_jsonable(report: AuditReport) -> dict:
             for s in report.steps
         ],
         "premised_steps_hold": report.premised_steps_hold,
-    }
-
-
-def audit_to_json(report: AuditReport) -> str:
-    return json.dumps(audit_to_jsonable(report), sort_keys=True)
+    }, sort_keys=True)

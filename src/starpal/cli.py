@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional
 
@@ -410,7 +411,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():  # `warning: <message>`, not a source line
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter shutdown
         return code
     except BrokenPipeError:  # the reader left (`| head`): stop, and keep shutdown quiet

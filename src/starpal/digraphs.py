@@ -449,8 +449,9 @@ class TripartiteReport:
     vertex) is exactly 2 (1/3-eps) (1/6+eps)^2 n + (1/3+2 eps) (1/6-2 eps)^2 n,
     which simplifies to (1/36 + 6 eps^3) n.  That exceeds the squared-excess
     bound for k = 4, (1/36) n, for every eps > 0 (the threshold 2/(k-1) is
-    tight), but never reaches n/16: exceeds_sixteenth stays False.  digraph
-    is the construction itself.
+    tight), and exceeds n/16 = (1/36 + 5/144) n exactly when n > 0 and
+    6 eps^3 > 5/144, i.e. eps > 0.179...: exceeds_sixteenth is True for
+    n = 30, eps = 1/5 and False for eps = 1/6.  digraph is the construction.
     """
 
     n: int

@@ -103,14 +103,6 @@ def star_apex(f: ThreeGraph) -> Optional[int]:
     return f._apex
 
 
-def relabel_vertices(f: ThreeGraph, perm: list[int]) -> ThreeGraph:
-    """Relabel vertices via perm (perm[old] = new)."""
-    if sorted(perm) != list(range(f.num_vertices)):
-        raise ValueError(f"not a permutation of 0..{f.num_vertices - 1}: {perm!r}")
-    return ThreeGraph(f.num_vertices, frozenset(
-        tuple(sorted((perm[a], perm[b], perm[c]))) for (a, b, c) in f.edges))
-
-
 def parse_threegraph(text: str) -> ThreeGraph:
     """Parse the `threegraph <n>` header plus `<u> <v> <w>` edge lines."""
     n, records = _read_records(text, "threegraph", 3)
@@ -118,12 +110,6 @@ def parse_threegraph(text: str) -> ThreeGraph:
         return ThreeGraph(n, frozenset(e for _, e in records))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def serialize_threegraph(f: ThreeGraph) -> str:
-    lines = [f"threegraph {f.num_vertices}"]
-    lines.extend(f"{u} {v} {w}" for (u, v, w) in f.sorted_edges())
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -136,9 +122,6 @@ class GoodnessWitness:
 
     ordering: tuple[int, ...]
     pair_coloring: Mapping[Pair, int]
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.pair_coloring[(u, v) if u < v else (v, u)]
 
 
 def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
@@ -238,11 +221,19 @@ def is_good(p: Palette, f: ThreeGraph, *,
 
 def is_bad(p: Palette, f: ThreeGraph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """`is_good(p, f) is None`, decided and charged as there; a star's verdict
-    stops at `_star_certificate` and builds no witness."""
+    is `_star_bad`'s and builds no witness."""
     if star_apex(f) is not None:
-        return _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
-                                 f.num_vertices - 1, _Budget(node_budget)) is None
+        return _star_bad(p, f.num_vertices - 1, node_budget)
     return is_good(p, f, node_budget=node_budget) is None
+
+
+def _star_bad(p: Palette, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """`is_bad(p, make_star(k))`, decided and charged as there, with no star built:
+    a fresh budget pays |P| and one per T_k search node (see `_star_certificate`)."""
+    if k < 2:
+        raise ValueError(f"a star needs at least 2 leaves, got k={k}")
+    return _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples), k,
+                             _Budget(node_budget)) is None
 
 
 def _star_certificate(out: Sequence[int], size: int, k: int,

@@ -70,9 +70,6 @@ class Palette:
     def with_triple(self, t: Triple) -> "Palette":
         return Palette(self.num_colors, self.triples | {tuple(t)})
 
-    def without_triple(self, t: Triple) -> "Palette":
-        return Palette(self.num_colors, self.triples - {tuple(t)})
-
 
 def iter_all_triples(num_colors: int) -> Iterator[Triple]:
     """All ordered triples over the color set, in lexicographic order."""

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .audit import minimality_check
 from .errors import BudgetExceeded, EnumerationCapExceeded
 from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
-from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_certificate, brute_force_is_good,
-                       make_star)
+from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_bad, _star_certificate,
+                       brute_force_is_good, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
                       _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
                       remove_color)
@@ -284,25 +284,6 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     return examined, bad_found
 
 
-def _is_bad(p: Palette, k: int) -> bool:
-    """`is_bad(p, make_star(k))`, decided and charged as there, with no star built."""
-    if k < 2:
-        raise ValueError(f"a star needs at least 2 leaves, got k={k}")
-    return _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples), k,
-                             _Budget(DEFAULT_NODE_BUDGET)) is None
-
-
-def maximal_bad_extensions(p: Palette, k: int) -> Palette:
-    """Greedily extend a bad palette to a maximal bad palette.
-
-    Triples are tried once each, in lexicographic order (see `_grow`).
-    Raises ValueError when p is not S_k-bad.
-    """
-    if not _is_bad(p, k):
-        raise ValueError("palette is not bad; nothing to extend")
-    return _grow(p, iter_all_triples(p.num_colors), k, DEFAULT_NODE_BUDGET)
-
-
 def minimalize(p: Palette, k: int) -> Palette:
     """Repeatedly remove colors whose removal does not strictly decrease density.
 
@@ -313,12 +294,12 @@ def minimalize(p: Palette, k: int) -> Palette:
     removal strictly decreases density.  Raises ValueError when p is not
     S_k-bad.
     """
-    if not _is_bad(p, k):
+    if not _star_bad(p, k):
         raise ValueError("palette is not bad; minimalize expects a bad palette")
     current = p
     while (a := minimality_check(current)) is not None:
         current = remove_color(current, a)
-        assert _is_bad(current, k)
+        assert _star_bad(current, k)
     return current
 
 

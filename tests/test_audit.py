@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, audit_chain,
-                     audit_to_json, audit_to_jsonable, aux_digraph, claim_check, f_values,
+                     audit_to_json, aux_digraph, claim_check, f_values,
                      find_transitive_tournament, format_audit_kv, format_audit_text,
                      g_inequality_check, is_bad, is_good, iter_all_triples, make_star,
                      minimality_check, serialize_palette, stars_bounds, target_density,
@@ -331,8 +331,14 @@ def test_format_text_and_kv():
 
 def test_json_roundtrip():
     report = audit_chain(OPTIMUM, 5)
-    doc = json.loads(audit_to_json(report))
-    assert doc == audit_to_jsonable(report)
+    text = audit_to_json(report)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True)
+    assert [s["id"] for s in doc["steps"]] == [s.step_id for s in report.steps]
+    assert [(s["lhs"], s["residual"], s["holds"]) for s in doc["steps"]] == [
+        (str(s.lhs), str(s.residual), s.holds) for s in report.steps]
+    assert doc["xsets"]["union"] == report.x_counts.union
+    assert [pd["policy"] for pd in doc["policies"]] == [pd.policy.value for pd in report.policies]
     assert doc["density"] == "1/4"
     assert doc["k"] == 5
     assert len(doc["steps"]) == len(report.steps)

@@ -67,7 +67,7 @@ def reference_audit(p, k, ties=None):
             case=1 if min(e21, e23) >= HALF else 2,
             s1=(e(1, 2, a) + e(1, 3, a)) / 2,
             s3=(e(3, 1, a) + e(3, 2, a)) / 2,
-            e21=e21, e23=e23, product=e21 * e23))
+            e21=e21, e23=e23))
     cprime = [r for r in rows if r.case == 1]
     cdouble = [r for r in rows if r.case == 2]
 
@@ -95,7 +95,7 @@ def reference_audit(p, k, ties=None):
         agg("f2_case1", [(r.f2, (r.e21 - HALF) ** 2 / 2 + (r.e23 - HALF) ** 2 / 2 - QUARTER)
                          for r in cprime]),
     ]
-    case2_premise = all(r.product >= QUARTER for r in cdouble)
+    case2_premise = all(r.e21 * r.e23 >= QUARTER for r in cdouble)
     steps.append(agg("f2_case2", [(r.f2, -QUARTER) for r in cdouble],
                      premise_ok=case2_premise and delta_ok,
                      note="needs e21*e23 >= min degree >= 1/4"))

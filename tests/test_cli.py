@@ -289,6 +289,16 @@ def test_malformed_input_exits_2(tmp_path):
     assert proc.stdout == ""
 
 
+def test_duplicate_triple_warns_in_one_line(tmp_path, bad_file):
+    path = tmp_path / "dup.pal"
+    path.write_text(BAD + "0 1 0\n1 0 1\n")
+    proc = run("stats", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout == run("stats", bad_file).stdout
+    assert proc.stderr == ("warning: line 4: duplicate triple (0, 1, 0) collapsed\n"
+                           "warning: line 5: duplicate triple (1, 0, 1) collapsed\n")
+
+
 def test_budget_exhaustion_exits_3(bad_file):
     proc = run("check", bad_file, "--star", "3", "--node-budget", "1")
     assert proc.returncode == 3

@@ -376,6 +376,15 @@ def test_tripartite_shrunk_parts():
     assert not rep.exceeds_sixteenth
 
 
+def test_tripartite_exceeds_sixteenth_once_6eps3_exceeds_5_144():
+    # The sum is (1/36 + 6 eps^3) n and n/16 is (1/36 + 5/144) n.
+    rep = tripartite_report(30, Fraction(1, 5))
+    assert rep.sum_sq == Fraction(341, 150) > rep.sixteenth == Fraction(15, 8)
+    assert rep.equals_closed_form and rep.exceeds_sixteenth
+    rep = tripartite_report(30, Fraction(1, 6))
+    assert rep.equals_closed_form and not rep.exceeds_sixteenth
+
+
 def test_tripartite_rejects_non_integral_parts():
     with pytest.raises(ValueError):
         tripartite_construction(10, Fraction(0))

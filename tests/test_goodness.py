@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import starpal.goodness
 from starpal import (BudgetExceeded, EnumerationCapExceeded, GoodnessWitness,
-                     Palette, ThreeGraph, brute_force_is_good, is_bad, is_good,
-                     iter_all_triples, make_star, parse_threegraph, permute_colors,
-                     serialize_threegraph, star_apex, verify_witness)
-from starpal.goodness import relabel_vertices
+                     FormatError, Palette, ThreeGraph, brute_force_is_good, is_bad,
+                     is_good, iter_all_triples, make_star, parse_threegraph, permute_colors,
+                     star_apex, verify_witness)
 
 small_palettes = st.integers(1, 2).flatmap(
     lambda m: st.builds(
@@ -20,6 +19,11 @@ small_palettes = st.integers(1, 2).flatmap(
         st.frozensets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
                                 st.integers(0, m - 1))),
     ))
+
+
+def relabeled_star(k, perm):
+    """make_star(k) with vertex v renamed perm[v]; ThreeGraph sorts each edge."""
+    return ThreeGraph(k + 1, [(perm[a], perm[b], perm[c]) for a, b, c in make_star(k).edges])
 
 
 def all_palettes(m):
@@ -56,9 +60,14 @@ def test_threegraph_validation():
     assert f.sorted_edges() == [(0, 1, 2)]
 
 
-def test_parse_serialize_threegraph():
-    s = make_star(3)
-    assert parse_threegraph(serialize_threegraph(s)) == s
+def test_parse_threegraph_literal_text():
+    text = "# the 3-star, apex 0\nthreegraph 4\n0 1 2\n\n3 0 1  # unsorted edge\n0 2 3\n"
+    assert parse_threegraph(text) == make_star(3)
+    assert parse_threegraph("threegraph 5\n") == ThreeGraph(5, [])
+    with pytest.raises(FormatError, match=r"^edge must have three distinct vertices: "):
+        parse_threegraph("threegraph 3\n0 1 1\n")
+    with pytest.raises(FormatError, match=r"^line 2: value out of range \[0, 3\) in "):
+        parse_threegraph("threegraph 3\n0 1 3\n")
 
 
 def test_single_edge_good_iff_some_triple():
@@ -143,7 +152,7 @@ def test_badness_survives_triple_removal(p):
     star = make_star(3)
     if is_good(p, star) is None and p.num_triples:
         t = p.sorted_triples()[0]
-        assert is_good(p.without_triple(t), star) is None
+        assert is_good(Palette(p.num_colors, p.triples - {t}), star) is None
 
 
 @given(small_palettes)
@@ -216,7 +225,7 @@ def test_star_route_matches_brute_force_on_relabeled_stars():
         perm = list(range(k + 1))
         while perm[0] == 0:
             rng.shuffle(perm)
-        star = relabel_vertices(make_star(k), perm)
+        star = relabeled_star(k, perm)
         assert star_apex(star) == perm[0] != 0
         p = Palette(m, rng.sample(list(iter_all_triples(m)), rng.randrange(0, 2 * m * m)))
         _agrees_with_oracle(p, star)
@@ -315,12 +324,16 @@ def test_witness_shape_error_messages():
         verify_witness(p, s, both)
 
 
+def _color(w, u, v):
+    return w.pair_coloring[(u, v) if u < v else (v, u)]
+
+
 def _reference_verify(p, f, w):
     """The plain check: sort each edge by rank and look up its three colors."""
     rank = {v: i for i, v in enumerate(w.ordering)}
     for e in f.edges:
         u, v, x = sorted(e, key=rank.__getitem__)
-        if (w.color_of(u, v), w.color_of(u, x), w.color_of(v, x)) not in p.triples:
+        if (_color(w, u, v), _color(w, u, x), _color(w, v, x)) not in p.triples:
             return False
     return True
 
@@ -337,7 +350,7 @@ def test_verify_witness_matches_reference():
             k = rng.randrange(2, 6)
             perm = list(range(k + 1))
             rng.shuffle(perm)
-            f = relabel_vertices(make_star(k), perm)
+            f = relabeled_star(k, perm)
         else:
             n = rng.randrange(3, 7)
             edges = list(itertools.combinations(range(n), 3))
@@ -354,7 +367,7 @@ def test_verify_witness_matches_reference():
         for e in f.edges:
             u, v, x = sorted(e, key=rank.__getitem__)
             orders_seen.add(tuple(sorted(e).index(y) for y in (u, v, x)))
-            needed.add((w.color_of(u, v), w.color_of(u, x), w.color_of(v, x)))
+            needed.add((_color(w, u, v), _color(w, u, x), _color(w, v, x)))
         kept = [t for t in sorted(needed) if rng.random() < 0.75]
         p = Palette(m, kept + rng.sample(list(iter_all_triples(m)), rng.randrange(0, m)))
         expected = _reference_verify(p, f, w)

@@ -7,9 +7,8 @@ import pytest
 from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digraph,
                      brute_force_is_good, canonical_form, compute_stats, has_loop,
                      is_bad, is_good,
-                     iter_all_triples, make_star, maximal_bad_extensions,
-                     minimality_check, minimalize, random_bad_palette,
-                     random_maximal_bad_palette, search)
+                     iter_all_triples, make_star, minimality_check, minimalize,
+                     random_bad_palette, random_maximal_bad_palette, search)
 from starpal.digraphs import _arc_free_classes, _aux_masks, _find_tk
 from starpal.palette import _mask_triples, _relabeled_masks
 from starpal.goodness import DEFAULT_NODE_BUDGET
@@ -231,23 +230,21 @@ def test_search_builds_no_star_past_the_oracle(monkeypatch):
     assert report.num_bad_found == 4
 
 
-def test_maximal_bad_extensions():
-    extended = maximal_bad_extensions(Palette.empty(2), 3)
-    _assert_maximal_bad(extended, make_star(3))
-    assert maximal_bad_extensions(OPTIMUM, 3) == OPTIMUM
-    with pytest.raises(ValueError):
-        maximal_bad_extensions(Palette.full(2), 3)
+def test_grown_palettes_are_maximal_bad():
+    lexicographic = _grow(Palette.empty(2), iter_all_triples(2), 3, DEFAULT_NODE_BUDGET)
+    _assert_maximal_bad(lexicographic, make_star(3))
+    assert _grow(OPTIMUM, iter_all_triples(2), 3, DEFAULT_NODE_BUDGET) == OPTIMUM
     rng = random.Random(5)
     for k in (3, 4, 5):
         star = make_star(k)
+        for m in (2, 3):
+            _assert_maximal_bad(random_maximal_bad_palette(k, m, rng), star)
         for _ in range(3):
             base = random_bad_palette(k, 3, rng)
-            extended = maximal_bad_extensions(base, k)
-            assert base.triples <= extended.triples
-            _assert_maximal_bad(extended, star)
-            order = list(iter_all_triples(3))
-            rng.shuffle(order)
-            _assert_maximal_bad(_grow(base, order, k, DEFAULT_NODE_BUDGET), star)
+            for order in (list(iter_all_triples(3)), rng.sample(list(iter_all_triples(3)), 27)):
+                grown = _grow(base, order, k, DEFAULT_NODE_BUDGET)
+                assert base.triples <= grown.triples
+                _assert_maximal_bad(grown, star)
 
 
 def test_minimalize_reference_palette():
@@ -278,25 +275,25 @@ def test_minimalize_agrees_with_minimality_check():
     assert shrunk
 
 
-def test_maximal_bad_extensions_and_minimalize_build_no_star(monkeypatch):
+def test_minimalize_and_growth_build_no_star(monkeypatch):
     # Two or three colours give at most 6 aux vertices, so k = 5 and k = 1000
     # have the same bad palettes; the 1000-star has 499,500 edges.
     wide = Palette(3, [(0, 1, 0), (1, 0, 1)])
-    extended = maximal_bad_extensions(Palette.empty(2), 5)
+    extended = random_maximal_bad_palette(5, 2, random.Random(3))
     shrunk = minimalize(wide, 5)
 
     def refuse(k):
         raise AssertionError(f"make_star({k}) called")
 
-    monkeypatch.setattr(importlib.import_module("starpal.search"), "make_star", refuse)
-    assert maximal_bad_extensions(Palette.empty(2), 1000) == extended == OPTIMUM
+    for name in ("starpal.search", "starpal.goodness"):
+        monkeypatch.setattr(importlib.import_module(name), "make_star", refuse)
+    assert random_maximal_bad_palette(1000, 2, random.Random(3)) == extended
     assert minimalize(wide, 1000) == shrunk
     assert minimalize(OPTIMUM, 1000) == OPTIMUM
-    for fn in (maximal_bad_extensions, minimalize):
-        with pytest.raises(ValueError, match=r"^a star needs at least 2 leaves, got k=1$"):
-            fn(OPTIMUM, 1)
-        with pytest.raises(ValueError, match="palette is not bad"):
-            fn(Palette.full(2), 1000)
+    with pytest.raises(ValueError, match=r"^a star needs at least 2 leaves, got k=1$"):
+        minimalize(OPTIMUM, 1)
+    with pytest.raises(ValueError, match="palette is not bad"):
+        minimalize(Palette.full(2), 1000)
 
 
 def test_random_bad_palettes_are_bad():
