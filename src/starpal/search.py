@@ -8,16 +8,18 @@ restarts randomized greedy growth.  Every maximal bad palette is grown by
 `_grow`, one pass over a triple order.  The sweep and `_grow` decide a bad
 base plus one triple by `_bad_extension`, from the base's aux masks with the
 triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
-digraph; a triple (x, x, z) or (x, y, y) puts a loop in the aux digraph by
-itself and builds no masks at all.  The engines offer sorted triple lists to
-`_Best`, and no search loop calls `canonical_form`.  Reported optima are
-re-verified bad: by their star decision, then by a checked colouring of the
-aux digraph into k-1 arc-free classes, or, where greedy finds none, by the
-brute-force oracle within its cap.
+digraph.  A triple (x, x, z) or (x, y, y) puts a loop in the aux digraph:
+`_grow` rejects it unbuilt; the sweep decides none, counts their classes
+once each as stabilizer orbits and charges each base |base| + 1 once.  The
+engines offer sorted triple lists to `_Best`, and no search loop calls
+`canonical_form`.  Reported optima are re-verified bad: by their star
+decision, then by a checked colouring of the aux digraph into k-1 arc-free
+classes, or, where greedy finds none, by the brute-force oracle within its cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,12 +132,10 @@ def search(cfg: SearchConfig) -> SearchReport:
     if not exhaustive:
         examined, bad_found = _search_local(cfg, best)
     else:
-        examined, classes = _sweep_canonical(cfg, best)
-        bad_found = len(classes)
-        if not cfg.dedup:  # count palettes: each bad class has its distinct relabelings
-            examined = 2 ** m ** 3
-            bad_found = sum(len(set(_relabeled_masks(m, _mask_triples(m, key))))
-                            for key in classes)
+        examined, sizes = _sweep_canonical(cfg, best)
+        bad_found = len(sizes)
+        if not cfg.dedup:  # count palettes: a bad class holds its orbit of relabelings
+            examined, bad_found = 2 ** m ** 3, sum(sizes)
     best_palette = Palette(m, frozenset(best.triples))
     if not exhaustive and m <= MAX_CANONICAL_COLORS:
         best_palette = canonical_form(best_palette)
@@ -173,51 +173,51 @@ def _verify_bad(p: Palette, k: int, node_budget: int) -> None:
 def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
     """Breadth-first sweep of canonical bad palettes, one per relabeling class.
 
-    Badness is closed downward, so every bad palette with t+1 triples is a
-    bad t-triple palette plus one triple; growing each canonical bad palette
-    by every absent triple and canonicalizing reaches every class exactly
-    once.  Good extensions are pruned (supersets of good palettes are good).
-    Classes are canonical masks (see `canonical_form`), and each bad class is
-    offered as its canonical triple list.  Each base's aux masks are built
-    once and every extension is decided from them by `_bad_extension`, so no
-    candidate builds a Palette.  Returns the candidates decided and every bad
-    class's key, the empty palette's 0 included.
+    Each bad palette is a smaller bad one plus a triple, so growing every
+    canonical bad palette by every absent triple reaches every class; good
+    ones are pruned.  A level maps each class's canonical mask to its
+    relabeled masks (identity first) and sorted triples.  Bases and triples
+    ascend, so a class is first reached as its canonical form (an earlier
+    base + t would sort before it) and keeps base + t's masks.  Extensions by
+    a loop-forcing triple are good; their classes are the orbits of the
+    base's stabilizer, counted once each by Burnside and never decided, and
+    the base pays once the |base| + 1 that deciding them would charge.
+    Returns the classes examined and every bad class's orbit size, the empty palette's first.
     """
     m = cfg.num_colors
-    examined, classes = 1, [0]  # the empty palette is bad
-    bits = [_relabeled_masks(m, [t]) for t in iter_all_triples(m)]
-    level = {0}  # the empty palette's mask
+    # Loop-forcing triples a relabeling fixes: (x, x, z), (x, y, y) on its f fixed colors.
+    loops = [2 * f * f - f for f in (sum(c == x for c, x in enumerate(perm))
+                                     for perm in itertools.permutations(range(m)))]
+    loop_free = [(t, _relabeled_masks(m, [t])) for t in iter_all_triples(m)
+                 if t[0] != t[1] != t[2]]
+    examined, sizes = 1, [1]  # the empty palette is bad
+    level = {0: ([0] * len(loops), [])}
     while level:
-        next_level: set[int] = set()
+        next_level: dict[int, tuple[list[int], list[Triple]]] = {}
         seen_good: set[int] = set()  # a key's popcount is its level: none recur later
         for key in sorted(level, reverse=True):  # one size: ascending triple lists
-            base = _mask_triples(m, key)
+            masks, base = level[key]
+            if len(base) + 1 > cfg.node_budget:
+                raise BudgetExceeded(len(base) + 1, cfg.node_budget)
+            stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
+            examined += sum(stabilizer) // len(stabilizer)
             out = _aux_masks(m, base)
-            for t, ckey in _extension_keys(m, base, bits):
+            for t, tbits in loop_free:
+                if masks[0] & tbits[0]:
+                    continue
+                ckey = max(map(or_, masks, tbits))
                 if ckey in next_level or ckey in seen_good:
                     continue
                 examined += 1
-                if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is not None:
-                    next_level.add(ckey)
-                    best.offer(_mask_triples(m, ckey))
-                else:
+                if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is None:
                     seen_good.add(ckey)
-        classes += next_level
+                    continue
+                triples = _mask_triples(m, ckey)
+                next_level[ckey] = (list(map(or_, masks, tbits)), triples)
+                best.offer(triples)
+        sizes += [len(set(masks)) for masks, _ in next_level.values()]
         level = next_level
-    return examined, classes
-
-
-def _extension_keys(m: int, base: list[Triple],
-                    bits: list[list[int]]) -> list[tuple[Triple, int]]:
-    """Each triple t absent from base, with the canonical mask of base plus t.
-
-    bits[i] holds the i-th triple's masks under every relabeling, as
-    `_relabeled_masks` orders them.  The base's relabeled masks are computed
-    once, so each extension's key is m! integer ORs and a max.
-    """
-    masks = _relabeled_masks(m, base)
-    return [(t, max(map(or_, masks, tbits)))
-            for t, tbits in zip(iter_all_triples(m), bits) if not masks[0] & tbits[0]]
+    return examined, sizes
 
 
 def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,

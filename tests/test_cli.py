@@ -236,12 +236,21 @@ def test_search_stdout_is_pinned(capsys, name):
                                        f"# best density {best}\npalette {m}\n{body}")
 
 
-@pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41)])
+@pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41), (1, 2), (13, 14), (60, 61)])
 def test_search_budget_exhaustion_is_pinned(capsys, budget, spent):
     assert main(["search", *BFS_K5, "--node-budget", str(budget)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: node budget exhausted ({spent} checks, budget {budget})\n"
+
+
+def test_search_budget_exhaustion_at_k3(capsys):
+    argv = ["search", "--star", "3", *BFS_K5[2:], "--node-budget"]
+    assert main([*argv, "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node budget exhausted (31 checks, budget 30)\n"
+    assert main([*argv, "40"]) == 0
 
 
 def test_search_local_above_canonical_colors():

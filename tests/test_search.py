@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,9 @@ from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digra
                      iter_all_triples, make_star, minimality_check, minimalize,
                      random_bad_palette, random_maximal_bad_palette, search)
 from starpal.digraphs import _arc_free_classes, _aux_masks, _find_tk
-from starpal.palette import _mask_triples, _relabeled_masks
+from starpal.palette import permute_colors
 from starpal.goodness import DEFAULT_NODE_BUDGET
-from starpal.search import _bad_extension, _extension_keys, _grow, _verify_bad
+from starpal.search import OBJECTIVES, _bad_extension, _grow, _verify_bad
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -110,6 +111,16 @@ def test_exhaustive_three_colors_deduped_k5():
     assert report.best_palette == Palette(3, [
         tuple(int(c) for c in w)
         for w in "010 012 020 021 101 102 121 202 210 212".split()])
+
+
+@pytest.mark.parametrize("k, examined, bad, best", [
+    (2, 6, 1, 0), (4, 4623, 287, Fraction(1, 3)), (6, 10923, 713, Fraction(11, 27))])
+def test_exhaustive_three_colors_deduped_even_k(k, examined, bad, best):
+    report = search(SearchConfig(k=k, num_colors=3, objective="density", mode="exhaustive",
+                                 dedup=True, allow_large_exhaustive=True))
+    assert report.num_candidates_examined == examined
+    assert report.num_bad_found == bad
+    assert report.best_objective == best
 
 
 def test_local_mode_five_colors_pinned():
@@ -408,19 +419,57 @@ def test_exhaustive_best_is_least_optimal_canonical_form(m, objective):
                 assert report.num_bad_found == len(bad), k
 
 
-def test_incremental_keys_match_canonical_form():
-    bits = [_relabeled_masks(3, [t]) for t in iter_all_triples(3)]
-    rng = random.Random(3)
-    for k in (3, 4, 5):
-        for _ in range(10):
-            base = random_bad_palette(k, 3, rng)
-            triples = base.sorted_triples()
-            keys = _extension_keys(3, triples, bits)
-            assert [t for t, _ in keys] == [t for t in iter_all_triples(3)
-                                            if t not in base.triples]
-            for t, key in keys:
-                expected = canonical_form(base.with_triple(t)).sorted_triples()
-                assert _mask_triples(3, key) == expected
+def _reference_class_sweep(m, k):
+    """The class sweep from canonical_form and is_bad alone: the number of
+    classes examined and every bad class's canonical form, level by level."""
+    star = make_star(k)
+    universe = list(iter_all_triples(m))
+    level = [Palette.empty(m)]
+    examined, bad = 1, list(level)
+    while level:
+        verdicts = {}
+        for base in level:
+            for t in universe:
+                if t not in base.triples:
+                    grown = canonical_form(base.with_triple(t))
+                    if grown not in verdicts:
+                        verdicts[grown] = is_bad(grown, star)
+        examined += len(verdicts)
+        level = [p for p, verdict in verdicts.items() if verdict]
+        bad += level
+    return examined, bad
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3) for k in range(2, 6)])
+def test_class_sweep_matches_reference_sweep(m, k):
+    examined, bad = _reference_class_sweep(m, k)
+    for objective in OBJECTIVES:
+        def value(p):
+            return p.density if objective == "density" else compute_stats(p).min_degree
+
+        top = max(map(value, bad))
+        expected = min((p for p in bad if value(p) == top), key=Palette.sorted_triples)
+        report = search(SearchConfig(k=k, num_colors=m, objective=objective, dedup=True,
+                                     allow_large_exhaustive=m == 3))
+        assert (report.num_candidates_examined, report.num_bad_found) == (examined, len(bad))
+        assert (report.best_objective, report.best_palette) == (top, expected), objective
+    if m <= 2:  # palettes: each class counts its distinct relabelings
+        plain = search(SearchConfig(k=k, num_colors=m))
+        assert plain.num_candidates_examined == 2 ** m ** 3
+        assert plain.num_bad_found == sum(
+            len({permute_colors(p, perm) for perm in itertools.permutations(range(m))})
+            for p in bad)
+
+
+@pytest.mark.parametrize("m, k, budget", [(2, 5, 2), (3, 7, 12)])
+def test_sweep_charges_each_base_its_loop_forcing_decisions(m, k, budget):
+    # Every base of `budget` triples has only loop-forcing extensions left to
+    # decide, so the |base| + 1 those decisions charge is what exhausts the budget.
+    for dedup in (True, False) if m == 2 else (True,):
+        with pytest.raises(BudgetExceeded, match=rf"^node budget exhausted "
+                                                 rf"\({budget + 1} checks, budget {budget}\)$"):
+            search(SearchConfig(k=k, num_colors=m, dedup=dedup, allow_large_exhaustive=m == 3,
+                                node_budget=budget))
 
 
 def _charge(p, k):
