@@ -101,9 +101,9 @@ class AuxPolicy(enum.Enum):
     """Arc rule set for the auxiliary digraph of a palette.
 
     LITERAL: first-block arc a->b from (2,3)-admissibility of (a, b),
-    second-block arc a->b from (1,2)-admissibility; this is the rule set as
-    originally written.  OBSERVATION: blocks swapped (first block from (1,2),
-    second from (2,3)), the variant under which the whole-digraph degree
+    second-block arc a->b from (1,2)-admissibility.  OBSERVATION is LITERAL
+    with its two blocks swapped, by construction (first block from (1,2),
+    second from (2,3)): the variant under which the whole-digraph degree
     identities d+(first-block a) = d_{1,2}(a) + d_{1,3}(a) and
     d-(second-block a) = d_{3,1}(a) + d_{3,2}(a) hold.  Cross arcs are the
     same in both: a(first)->b(second) and b(second)->a(first) whenever (a, b)
@@ -118,36 +118,34 @@ def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
     """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
 
     Vertex a in the first block is index a; in the second block, index m + a.
-    Its out-masks are `_aux_masks(m, p.triples, policy)`.
+    LITERAL's out-masks are `_aux_masks(m, p.triples)`; OBSERVATION swaps
+    their blocks' arcs and keeps the cross arcs.  Other policies raise ValueError.
     """
     m = p.num_colors
-    return Digraph.from_masks(2 * m, _aux_masks(m, p.triples, policy))
+    out = _aux_masks(m, p.triples)
+    if policy is AuxPolicy.OBSERVATION:
+        low = (1 << m) - 1
+        out = ([out[m + a] >> m | out[a] & ~low for a in range(m)]
+               + [(out[a] & low) << m | out[m + a] & low for a in range(m)])
+    elif policy is not AuxPolicy.LITERAL:
+        raise ValueError(f"unknown policy {policy!r}")
+    return Digraph.from_masks(2 * m, out)
 
 
-def _aux_masks(m: int, triples: Iterable[Triple], policy: AuxPolicy = AuxPolicy.LITERAL,
-               out: Sequence[int] = ()) -> list[int]:
-    """Aux out-masks of `triples` on m colors, OR-ed into a copy of out if given.
+def _aux_masks(m: int, triples: Iterable[Triple], out: Sequence[int] = ()) -> list[int]:
+    """LITERAL aux out-masks of `triples` on m colors, OR-ed into a copy of out if given.
 
-    One pass over the triples: a triple (x, y, z) gives the block arcs of its
-    (2,3) and (1,2) projections (which block gets which is the policy) and
+    One pass over the triples: a triple (x, y, z) gives the first-block arc of
+    its (2,3) projection, the second-block arc of its (1,2) projection and
     both cross arcs of its (1,3) projection.  Arcs only accumulate, so the
     masks of a palette extend to those of any superset.
     """
     out = list(out) or [0] * (2 * m)
-    if policy is AuxPolicy.LITERAL:
-        for (x, y, z) in triples:
-            out[y] |= 1 << z
-            out[m + x] |= 1 << (m + y)
-            out[x] |= 1 << (m + z)
-            out[m + z] |= 1 << x
-    elif policy is AuxPolicy.OBSERVATION:
-        for (x, y, z) in triples:
-            out[x] |= 1 << y
-            out[m + y] |= 1 << (m + z)
-            out[x] |= 1 << (m + z)
-            out[m + z] |= 1 << x
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    for (x, y, z) in triples:
+        out[y] |= 1 << z
+        out[m + x] |= 1 << (m + y)
+        out[x] |= 1 << (m + z)
+        out[m + z] |= 1 << x
     return out
 
 

@@ -77,16 +77,10 @@ class ThreeGraph:
     def _apex(self) -> Optional[int]:
         if not self.edges:
             return None
-        common = set(range(self.num_vertices))
-        for e in self.edges:
-            common &= set(e)
-            if not common:
-                return None
-        for apex in sorted(common):
-            leaves = sorted(v for v in range(self.num_vertices) if v != apex)
-            expected = {tuple(sorted((apex, x, y))) for x, y in itertools.combinations(leaves, 2)}
-            if expected == set(self.edges):
-                return apex
+        common = set.intersection(*map(set, self.edges))
+        # Distinct edges through one vertex number C(n-1, 2) exactly when they are all of them.
+        if common and len(self.edges) == math.comb(self.num_vertices - 1, 2):
+            return min(common)
         return None
 
 

@@ -27,7 +27,7 @@ from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .audit import minimality_check
-from .errors import BudgetExceeded, EnumerationCapExceeded
+from .errors import EnumerationCapExceeded
 from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
 from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_bad, _star_certificate,
                        brute_force_is_good, make_star)
@@ -79,7 +79,6 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchReport:
-    config: SearchConfig
     best_palette: Palette
     best_objective: Fraction
     num_candidates_examined: int
@@ -141,7 +140,6 @@ def search(cfg: SearchConfig) -> SearchReport:
         best_palette = canonical_form(best_palette)
     _verify_bad(best_palette, cfg.k, cfg.node_budget)
     return SearchReport(
-        config=cfg,
         best_palette=best_palette,
         best_objective=best.value,
         num_candidates_examined=examined,
@@ -197,8 +195,7 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
         seen_good: set[int] = set()  # a key's popcount is its level: none recur later
         for key in sorted(level, reverse=True):  # one size: ascending triple lists
             masks, base = level[key]
-            if len(base) + 1 > cfg.node_budget:
-                raise BudgetExceeded(len(base) + 1, cfg.node_budget)
+            _Budget(cfg.node_budget).spend(len(base) + 1)
             stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
             examined += sum(stabilizer) // len(stabilizer)
             out = _aux_masks(m, base)
@@ -233,8 +230,7 @@ def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
     """
     x, y, z = t
     if x == y or y == z:
-        if size + 1 > node_budget:
-            raise BudgetExceeded(size + 1, node_budget)
+        _Budget(node_budget).spend(size + 1)
         return None
     trial = _aux_masks(len(out) // 2, [t], out=out)
     if _star_certificate(trial, size + 1, k, _Budget(node_budget)) is None:

@@ -130,6 +130,12 @@ def test_aux_digraph_default_policy_is_literal():
     assert aux_digraph(p) == aux_digraph(p, AuxPolicy.LITERAL)
 
 
+@pytest.mark.parametrize("policy", ["observation", None])
+def test_aux_digraph_refuses_non_policy(policy):
+    with pytest.raises(ValueError, match="unknown policy"):
+        aux_digraph(Palette(2, [(0, 0, 1)]), policy)
+
+
 def _projection_masks(p, policy):
     """Aux out-masks straight from the three admissible_pairs projections."""
     m = p.num_colors

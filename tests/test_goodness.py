@@ -51,6 +51,27 @@ def test_star_apex_detection():
     assert star_apex(ThreeGraph(3, [])) is None
 
 
+def _reference_apex(f):
+    """The least common vertex whose full star on the other vertices is f's edge set."""
+    common = set(range(f.num_vertices))
+    for e in f.edges:
+        common &= set(e)
+    for apex in sorted(common) if f.edges else ():
+        leaves = [v for v in range(f.num_vertices) if v != apex]
+        if f.edges == {tuple(sorted((apex, x, y))) for x, y in itertools.combinations(leaves, 2)}:
+            return apex
+    return None
+
+
+def test_star_apex_matches_full_star_rule_on_small_threegraphs():
+    assert star_apex(ThreeGraph(4, [(0, 1, 2), (0, 1, 3)])) is None  # common vertices 0, 1
+    for n in range(6):
+        triples = list(itertools.combinations(range(n), 3))
+        for bits in range(2 ** len(triples)):
+            f = ThreeGraph(n, [t for i, t in enumerate(triples) if bits >> i & 1])
+            assert star_apex(f) == _reference_apex(f), f
+
+
 def test_threegraph_validation():
     with pytest.raises(ValueError):
         ThreeGraph(3, [(0, 1, 3)])
