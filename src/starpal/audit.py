@@ -15,8 +15,9 @@ Notation used throughout (palette with m colors, e_{i,j}(a) = d_{i,j}(a)/m):
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -210,18 +211,6 @@ class AuditReport:
         raise KeyError(step_id)
 
 
-class _Fractions(dict):
-    """Fraction(num, den) keyed by (num, den), each built on first lookup.
-
-    An audit reports about a hundred rationals but only a dozen or two
-    distinct ones, so one cache per audit builds each of them once.
-    """
-
-    def __missing__(self, key: tuple[int, int]) -> Fraction:
-        value = self[key] = Fraction(*key)
-        return value
-
-
 def audit_chain(p: Palette, k: int, *,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> AuditReport:
     """Audit the whole bound chain for palette p against the S_k target.
@@ -245,22 +234,24 @@ def audit_chain(p: Palette, k: int, *,
     spend = _Budget(node_budget).spend
     n = p.num_colors
     stats = compute_stats(p)
-    t = stats.num_triples
+    t = p.num_triples
     spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
     xs = _x_sets(p, stats)
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
-    fr = _Fractions()
+    # An audit reports about a hundred rationals but only a dozen or two
+    # distinct ones, so one cache per audit builds each of them once.
+    fr = functools.lru_cache(maxsize=None)(Fraction)
 
     def agg(step_id: str, items: list[tuple[int, int]], den: int, *,
             premise_ok: bool = True, note: str = "") -> AuditStep:
         """One step from (lhs, rhs) numerators over den > 0: the first pair of
         least residual rhs - lhs is reported, and all pairs hold iff it does."""
         if not items:
-            return AuditStep(step_id, fr[0, 1], fr[0, 1], True, premise_ok, note or "vacuous")
+            return AuditStep(step_id, fr(0, 1), fr(0, 1), True, premise_ok, note or "vacuous")
         lhs, rhs = min(items, key=lambda pair: pair[1] - pair[0])
-        return AuditStep(step_id, fr[lhs, den], fr[rhs, den], lhs <= rhs, premise_ok, note)
+        return AuditStep(step_id, fr(lhs, den), fr(rhs, den), lhs <= rhs, premise_ok, note)
 
     q = 4 * n * n
     cube = n ** 3
@@ -274,10 +265,10 @@ def audit_chain(p: Palette, k: int, *,
 
     rows = tuple(ColorRow(
         color=a,
-        f1=fr[f1[a], q], f2=fr[f2[a], q], f3=fr[f3[a], q],
+        f1=fr(f1[a], q), f2=fr(f2[a], q), f3=fr(f3[a], q),
         case=cases[a],
-        s1=fr[sum1[a], 2 * n], s3=fr[sum3[a], 2 * n],
-        e21=fr[d21[a], n], e23=fr[d23[a], n],
+        s1=fr(sum1[a], 2 * n), s3=fr(sum3[a], 2 * n),
+        e21=fr(d21[a], n), e23=fr(d23[a], n),
     ) for a in colors)
 
     exclusion_bound = cube - xs.union
@@ -289,7 +280,7 @@ def audit_chain(p: Palette, k: int, *,
             note="admissible triples avoid all three exclusion sets"),
         agg("bonferroni", [(exclusion_bound, ie_bound)], 1,
             note="union lower-bounded by singles minus pairs"),
-        AuditStep("product_identity", fr[ie_bound, cube], fr[f_bound, 4 * cube],
+        AuditStep("product_identity", fr(ie_bound, cube), fr(f_bound, 4 * cube),
                   4 * ie_bound == f_bound, True,
                   "equality: inclusion-exclusion bound rewritten through f1+f2+f3"),
         agg("density_vs_f_sum", [(4 * t, f_bound)], 4 * cube),
@@ -310,7 +301,7 @@ def audit_chain(p: Palette, k: int, *,
     target = target_density(k)
     assembled_target = (k - 1) ** 2 + 3 * (k - 3) ** 2
     steps.append(AuditStep(
-        "target_value_identity", fr[assembled_target, 4 * (k - 1) ** 2], target,
+        "target_value_identity", fr(assembled_target, 4 * (k - 1) ** 2), target,
         assembled_target == 4 * (k * k - 5 * k + 7), True,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
@@ -335,9 +326,9 @@ def audit_chain(p: Palette, k: int, *,
             policy=policy,
             loop_vertex=has_loop(dig),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
-            m_d=tuple(fr[v, 2 * n] for v in x),
-            m_d1=tuple(fr[v, n] for v in y1),
-            m_d2=tuple(fr[v, n] for v in y2),
+            m_d=tuple(fr(v, 2 * n) for v in x),
+            m_d1=tuple(fr(v, n) for v in y1),
+            m_d2=tuple(fr(v, n) for v in y2),
         ))
 
         # Which degree identities actually back this rule set on this palette.
@@ -418,7 +409,7 @@ def audit_chain(p: Palette, k: int, *,
     return AuditReport(
         k=k,
         num_colors=n,
-        density=stats.density,
+        density=p.density,
         min_degree=stats.min_degree,
         is_bad=bad,
         delta_premise_ok=delta_ok,
@@ -546,7 +537,7 @@ def claim_check(p: Palette, k: int) -> ClaimReport:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     stats = compute_stats(p)
-    rhs = 3 * stats.density - Fraction(2 * k - 3, k - 1)
+    rhs = 3 * p.density - Fraction(2 * k - 3, k - 1)
     bad = is_bad(p, make_star(k))
     return ClaimReport(
         k=k,
@@ -610,11 +601,7 @@ def audit_to_json(report: AuditReport) -> str:
         "min_degree": str(report.min_degree),
         "is_bad": report.is_bad,
         "min_degree_ok": report.delta_premise_ok,
-        "xsets": {
-            "x1": report.x_counts.x1, "x2": report.x_counts.x2, "x3": report.x_counts.x3,
-            "x12": report.x_counts.x12, "x13": report.x_counts.x13, "x23": report.x_counts.x23,
-            "union": report.x_counts.union,
-        },
+        "xsets": asdict(report.x_counts),
         "exclusion_bound": report.exclusion_bound,
         "inclusion_exclusion_bound": report.ie_bound,
         "policies": [

@@ -69,8 +69,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         return _emit_json({
             "colors": st.num_colors,
-            "triples": st.num_triples,
-            "density": str(st.density),
+            "triples": p.num_triples,
+            "density": str(p.density),
             "min_degree": str(st.min_degree),
             "slices": [list(row) for row in st.slice_counts],
             "degrees": {
@@ -79,16 +79,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
             },
         })
     print(f"colors {st.num_colors}")
-    print(f"triples {st.num_triples}")
-    print(f"density {_fr(st.density, args)}")
+    print(f"triples {p.num_triples}")
+    print(f"density {_fr(p.density, args)}")
     print(f"min_degree {_fr(st.min_degree, args)}")
     for a in range(st.num_colors):
         row = st.slice_counts[a]
         print(f"slice color={a} pos1={row[0]} pos2={row[1]} pos3={row[2]}")
+    m = st.num_colors
     for (i, j) in POSITION_PAIRS:
-        for a in range(st.num_colors):
-            print(f"degree pos={i},{j} color={a} d={st.degree(i, j, a)} "
-                  f"e={_fr(st.fraction(i, j, a), args)} co={st.co_degree(i, j, a)}")
+        for a in range(m):
+            d = st.degree(i, j, a)
+            print(f"degree pos={i},{j} color={a} d={d} e={_fr(Fraction(d, m), args)} co={m - d}")
     return EXIT_OK
 
 

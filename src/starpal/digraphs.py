@@ -72,17 +72,14 @@ class Digraph:
         object.__setattr__(d, "out", out)
         return d
 
-    @property
-    def arcs(self) -> frozenset[Arc]:
-        return frozenset(self.sorted_arcs())
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(mask.bit_count() for mask in self.out)
-
     def sorted_arcs(self) -> list[Arc]:
-        return [(u, v) for u, mask in enumerate(self.out)
-                for v in range(self.num_vertices) if mask >> v & 1]
+        arcs = []
+        for u, mask in enumerate(self.out):
+            while mask:
+                low = mask & -mask
+                arcs.append((u, low.bit_length() - 1))
+                mask ^= low
+        return arcs
 
 
 def parse_digraph(text: str) -> Digraph:

@@ -67,9 +67,6 @@ class Palette:
     def sorted_triples(self) -> list[Triple]:
         return sorted(self.triples)
 
-    def with_triple(self, t: Triple) -> "Palette":
-        return Palette(self.num_colors, self.triples | {tuple(t)})
-
 
 def iter_all_triples(num_colors: int) -> Iterator[Triple]:
     """All ordered triples over the color set, in lexicographic order."""
@@ -87,8 +84,6 @@ class PaletteStats:
     """
 
     num_colors: int
-    num_triples: int
-    density: Fraction
     min_degree: Fraction
     slice_counts: tuple[tuple[int, int, int], ...]
     adm_degree: tuple[tuple[int, ...], ...]
@@ -96,14 +91,6 @@ class PaletteStats:
     def degree(self, i: int, j: int, a: int) -> int:
         """d_{i,j}(a): number of (i,j)-admissible partners of color a."""
         return self.adm_degree[POSITION_PAIRS.index((i, j))][a]
-
-    def fraction(self, i: int, j: int, a: int) -> Fraction:
-        """e_{i,j}(a) = d_{i,j}(a) / m."""
-        return Fraction(self.degree(i, j, a), self.num_colors)
-
-    def co_degree(self, i: int, j: int, a: int) -> int:
-        """d'_{i,j}(a) = m - d_{i,j}(a)."""
-        return self.num_colors - self.degree(i, j, a)
 
 
 def admissible_pairs(p: Palette, i: int, j: int) -> frozenset[tuple[int, int]]:
@@ -114,7 +101,7 @@ def admissible_pairs(p: Palette, i: int, j: int) -> frozenset[tuple[int, int]]:
 
 
 def compute_stats(p: Palette) -> PaletteStats:
-    """Exact density, minimum slice degree, and admissibility degrees of p."""
+    """Exact minimum slice degree, slice counts and admissibility degrees of p."""
     m = p.num_colors
     slices = [0] * (3 * m)  # slices[3a + i]: triples with color a at position i
     pair_sets: dict[tuple[int, int], set[tuple[int, int]]] = {pr: set() for pr in POSITION_PAIRS}
@@ -132,8 +119,6 @@ def compute_stats(p: Palette) -> PaletteStats:
     min_slice = min(slices)
     return PaletteStats(
         num_colors=m,
-        num_triples=len(p.triples),
-        density=Fraction(len(p.triples), m ** 3),
         min_degree=Fraction(min_slice, m * m),
         slice_counts=tuple(tuple(slices[3 * a:3 * a + 3]) for a in range(m)),
         adm_degree=tuple(adm),

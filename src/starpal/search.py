@@ -223,7 +223,7 @@ def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
 
     out holds the LITERAL aux masks of a base of `size` triples and t is
     absent from it.  The verdict and its charge (a fresh budget, |base| + 1
-    and one per T_k node) are those of `is_bad(base.with_triple(t), S_k)`.
+    and one per T_k node) are those of `is_bad` on base + t and S_k.
     A triple (x, x, z) or (x, y, y) gives the loop m+x -> m+y or y -> z, so
     it is rejected after the |base| + 1 charge alone, with no masks built.
     node_budget must be positive.

@@ -1,3 +1,5 @@
+import collections
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -94,6 +96,24 @@ def test_audit_chain_on_reference_palette():
         assert policy.d_tk_free and policy.d1_tk_free and policy.d2_tk_free
 
 
+def test_audit_builds_each_rational_once(monkeypatch):
+    audit = importlib.import_module("starpal.audit")
+    fraction, built = audit.Fraction, collections.Counter()
+
+    def counting_fraction(*args):
+        built[args] += 1
+        return fraction(*args)
+
+    monkeypatch.setattr(audit, "Fraction", counting_fraction)
+    m3 = Palette(3, [(0, 1, 0), (0, 1, 2), (0, 2, 0), (0, 2, 1), (1, 0, 1),
+                     (1, 0, 2), (1, 2, 1), (2, 0, 2), (2, 1, 0), (2, 1, 2)])
+    for p in (OPTIMUM, m3):
+        built.clear()
+        report = audit.audit_chain(p, 5)
+        assert report.premised_steps_hold
+        assert len(built) > 10 and max(built.values()) == 1, built.most_common(3)
+
+
 def test_audit_chain_rejects_small_k():
     with pytest.raises(ValueError):
         audit_chain(OPTIMUM, 4)
@@ -109,7 +129,7 @@ def test_audit_chain_low_degree_premise():
 def _arc_digraphs(p, policy):
     """The aux digraph D and its blocks D1, D2, rebuilt from D's arc set, not its out-masks."""
     n = p.num_colors
-    arcs = aux_digraph(p, policy).arcs
+    arcs = set(aux_digraph(p, policy).sorted_arcs())
     return (Digraph(2 * n, arcs),
             Digraph(n, [(u, v) for (u, v) in arcs if u < n and v < n]),
             Digraph(n, [(u - n, v - n) for (u, v) in arcs if u >= n and v >= n]))
@@ -120,15 +140,15 @@ def _arc_reference(p, policy, k):
     whole, block1, block2 = _arc_digraphs(p, policy)
 
     def m_values(d):
-        size = d.num_vertices
-        return tuple(Fraction(max(sum(u == v for (u, _) in d.arcs),
-                                  sum(w == v for (_, w) in d.arcs)), size)
+        size, arcs = d.num_vertices, d.sorted_arcs()
+        return tuple(Fraction(max(sum(u == v for (u, _) in arcs),
+                                  sum(w == v for (_, w) in arcs)), size)
                      for v in range(size))
 
     def tk_free(d):
         return find_transitive_tournament(d, k) is None
 
-    loops = [u for (u, v) in whole.arcs if u == v]
+    loops = [u for (u, v) in whole.sorted_arcs() if u == v]
     return PolicyData(policy, min(loops) if loops else None,
                       tk_free(whole), tk_free(block1), tk_free(block2),
                       m_values(whole), m_values(block1), m_values(block2))

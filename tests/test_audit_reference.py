@@ -41,14 +41,15 @@ def reference_audit(p, k, ties=None):
     """The audit chain with every quantity a Fraction."""
     n = p.num_colors
     stats = compute_stats(p)
-    d = stats.density
+    d = p.density
     delta = stats.min_degree
     delta_ok = delta >= QUARTER
     is_bad = is_good(p, make_star(k)) is None
     xs = x_sets(p)
     tau = Fraction(2, k - 1)
     lemma_coeff = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2)
-    e = stats.fraction
+    def e(i, j, a):
+        return Fraction(stats.degree(i, j, a), n)
 
     def f(i, j1, j2, a):
         x, y = e(i, j1, a), e(i, j2, a)

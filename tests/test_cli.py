@@ -107,7 +107,7 @@ def test_aux_output_parses(example_file):
     d = parse_digraph(proc.stdout)
     assert set(d.sorted_arcs()) == {(0, 1), (2, 2), (0, 3), (3, 0)}
     obs = run("aux", example_file, "--policy", "observation")
-    assert (0, 0) in parse_digraph(obs.stdout).arcs
+    assert (0, 0) in set(parse_digraph(obs.stdout).sorted_arcs())
 
 
 def test_tk_find(tmp_path):
@@ -236,6 +236,35 @@ def test_search_stdout_is_pinned(capsys, name):
                                        f"# best density {best}\npalette {m}\n{body}")
 
 
+# `stats` and `audit --star 5` output, byte for byte, on the 3-colour S_5
+# optimum of SEARCH_GOLDEN (density 10/27), the README palette BAD and, for
+# degrees 0, EXAMPLE.
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+M3 = "palette 3\n" + "".join(" ".join(t) + "\n" for t in SEARCH_GOLDEN["dedup-m3-k5"][5].split())
+OUTPUT_GOLDEN = {
+    "stats-m3.txt": (M3, "stats"),
+    "stats-m3-float.txt": (M3, "stats", "--float"),
+    "stats-m3.json": (M3, "stats", "--json"),
+    "stats-example-float.txt": (EXAMPLE, "stats", "--float"),
+    "audit-m3-k5.txt": (M3, "audit", "--star", "5"),
+    "audit-m3-k5-kv.txt": (M3, "audit", "--star", "5", "--kv"),
+    "audit-m3-k5.json": (M3, "audit", "--star", "5", "--json"),
+    "audit-m2-k5.txt": (BAD, "audit", "--star", "5"),
+    "audit-m2-k5-kv.txt": (BAD, "audit", "--star", "5", "--kv"),
+    "audit-m2-k5.json": (BAD, "audit", "--star", "5", "--json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+def test_stats_and_audit_stdout_is_pinned(tmp_path, capsys, name):
+    text, command, *options = OUTPUT_GOLDEN[name]
+    path = tmp_path / "p.pal"
+    path.write_text(text)
+    assert main([command, str(path), *options]) == 0
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
+
+
 @pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41), (1, 2), (13, 14), (60, 61)])
 def test_search_budget_exhaustion_is_pinned(capsys, budget, spent):
     assert main(["search", *BFS_K5, "--node-budget", str(budget)]) == 3
@@ -268,7 +297,7 @@ def test_construct_output_parses():
     assert proc.returncode == 0
     body = "\n".join(l for l in proc.stdout.splitlines() if not l.startswith("#"))
     d = parse_digraph(body + "\n")
-    assert d.num_arcs == 54
+    assert len(d.sorted_arcs()) == 54
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -181,7 +181,7 @@ def _assert_maximal_bad(p, star):
     assert is_good(p, star) is None
     for t in iter_all_triples(p.num_colors):
         if t not in p.triples:
-            assert is_good(p.with_triple(t), star) is not None, t
+            assert is_good(Palette(p.num_colors, p.triples | {t}), star) is not None, t
 
 
 def _count_oracle_calls(monkeypatch):
@@ -220,7 +220,8 @@ def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
 
 def test_verify_bad_raises_on_good_palettes(monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
-    for p, k in ((Palette.full(2), 3), (OPTIMUM.with_triple((0, 0, 0)), 5),
+    for p, k in ((Palette.full(2), 3),
+                 (Palette(OPTIMUM.num_colors, OPTIMUM.triples | {(0, 0, 0)}), 5),
                  (Palette(2, [(0, 1, 0), (1, 0, 0)]), 3)):
         assert is_good(p, make_star(k)) is not None
         with pytest.raises(RuntimeError, match="not bad"):
@@ -431,7 +432,7 @@ def _reference_class_sweep(m, k):
         for base in level:
             for t in universe:
                 if t not in base.triples:
-                    grown = canonical_form(base.with_triple(t))
+                    grown = canonical_form(Palette(base.num_colors, base.triples | {t}))
                     if grown not in verdicts:
                         verdicts[grown] = is_bad(grown, star)
         examined += len(verdicts)
@@ -491,7 +492,7 @@ def _decided(decide, budget):
 
 
 def _assert_extension_matches_is_bad(base, t, k):
-    grown = base.with_triple(t)
+    grown = Palette(base.num_colors, base.triples | {t})
     out = _aux_masks(base.num_colors, base.triples)
     star = make_star(k)
 
@@ -546,8 +547,8 @@ def _reference_grow(p, order, k):
     """One pass over order, asking is_bad of each trial palette."""
     star = make_star(k)
     for t in order:
-        if t not in p.triples and is_bad(p.with_triple(t), star):
-            p = p.with_triple(t)
+        if t not in p.triples and is_bad(Palette(p.num_colors, p.triples | {t}), star):
+            p = Palette(p.num_colors, p.triples | {t})
     return p
 
 
