@@ -57,57 +57,38 @@ class XSetCounts:
 
 
 def x_sets(p: Palette) -> XSetCounts:
-    """Count the exclusion sets by direct enumeration of C^3.
+    """Count the exclusion sets from the co-degrees of p, without enumerating C^3.
 
-    Each count is re-derived from co-degree closed forms; a mismatch between
-    the enumeration and a closed form is an internal error (RuntimeError),
-    never a report entry.
+    Each single set has a closed form and a mirrored one (the two orders of
+    its position pair); their disagreement is an internal error
+    (RuntimeError), never a report entry.
     """
     return _x_sets(p, compute_stats(p))
 
 
 def _x_sets(p: Palette, stats: PaletteStats) -> XSetCounts:
-    """x_sets, checked against the co-degrees of stats = compute_stats(p)."""
+    """x_sets from stats = compute_stats(p)."""
     m = p.num_colors
-    adm12 = admissible_pairs(p, 1, 2)
-    adm13 = admissible_pairs(p, 1, 3)
-    adm23 = admissible_pairs(p, 2, 3)
-    x1 = x2 = x3 = x12 = x13 = x23 = union = 0
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                in1 = (b, c) not in adm23
-                in2 = (a, c) not in adm13
-                in3 = (a, b) not in adm12
-                x1 += in1
-                x2 += in2
-                x3 += in3
-                x12 += in1 and in2
-                x13 += in1 and in3
-                x23 += in2 and in3
-                union += in1 or in2 or in3
-    counts = XSetCounts(x1, x2, x3, x12, x13, x23, union)
     # Co-degrees m - d_{i,j}, in the POSITION_PAIRS order of adm_degree.
     c12, c13, c21, c23, c31, c32 = ([m - d for d in row] for row in stats.adm_degree)
+    for key, form, mirrored in (("x1", c23, c32), ("x2", c13, c31), ("x3", c12, c21)):
+        if sum(form) != sum(mirrored):
+            raise RuntimeError(f"internal error: |{key}| is {m * sum(form)} by its closed "
+                               f"form but {m * sum(mirrored)} by the mirrored one")
 
     def dot(u: list[int], v: list[int]) -> int:
         return sum(x * y for x, y in zip(u, v))
 
-    # Each single set has a closed form and a mirrored one; each meet has one.
-    closed = {
-        "x1": (m * sum(c23), m * sum(c32)),
-        "x2": (m * sum(c13), m * sum(c31)),
-        "x3": (m * sum(c12), m * sum(c21)),
-        "x12": (dot(c31, c32),),
-        "x13": (dot(c21, c23),),
-        "x23": (dot(c12, c13),),
-    }
-    for key, forms in closed.items():
-        for form, value in zip(("closed form", "mirrored closed form"), forms):
-            if getattr(counts, key) != value:
-                raise RuntimeError(f"internal error: enumerated |{key}| = "
-                                   f"{getattr(counts, key)} but {form} gives {value}")
-    return counts
+    # (a, b, c) is outside the union iff (a, b), (a, c) and (b, c) are
+    # (1,2)-, (1,3)- and (2,3)-admissible: count the c per (a, b) on bitmasks.
+    r13, r23 = [0] * m, [0] * m
+    for a, c in admissible_pairs(p, 1, 3):
+        r13[a] |= 1 << c
+    for b, c in admissible_pairs(p, 2, 3):
+        r23[b] |= 1 << c
+    outside = sum((r13[a] & r23[b]).bit_count() for a, b in admissible_pairs(p, 1, 2))
+    return XSetCounts(m * sum(c23), m * sum(c13), m * sum(c12), dot(c31, c32),
+                      dot(c21, c23), dot(c12, c13), m ** 3 - outside)
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,35 @@ def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:
         yield Digraph.from_masks(n, out[::-1])
 
 
+def _tk_free_classes(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(out_masks, orbit_size) once per isomorphism class of T_k-free loopless
+    digraphs on n vertices; the orbit sizes sum to the labelled count.
+
+    Breadth-first by arc count.  Arc u -> v is bit u*n + v of a packed mask,
+    and a class carries its packed masks under all n! vertex permutations,
+    identity first, so adding an arc ORs in that arc's bit under each
+    permutation.  The largest mask keys the class and the number of distinct
+    masks is its orbit size n!/|Aut|.  Only T_k-free classes are extended: a
+    T_k stays when arcs are added.  Refuses n > 5 as `_arc_positions` does.
+    """
+    perms = list(itertools.permutations(range(n)))
+    arcs = [tuple(1 << p[u] * n + p[v] for p in perms) for u, v in _arc_positions(n)]
+    row = (1 << n) - 1
+    level = [(0,) * len(perms)]
+    while level:
+        grown: dict[int, tuple[int, ...]] = {}
+        for masks in level:
+            out = tuple(masks[0] >> u * n & row for u in range(n))
+            if _find_tk(out, k) is not None:
+                continue
+            yield out, len(set(masks))
+            for bits in arcs:
+                if not masks[0] & bits[0]:
+                    grown_masks = tuple(map(operator.or_, masks, bits))
+                    grown.setdefault(max(grown_masks), grown_masks)
+        level = list(grown.values())
+
+
 def degree_stats(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(out_degrees, in_degrees) of d as ints, one step per arc.
 

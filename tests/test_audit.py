@@ -1,5 +1,6 @@
 import collections
 import importlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, audit_chain,
-                     audit_to_json, aux_digraph, claim_check, f_values,
+from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, XSetCounts,
+                     admissible_pairs, audit_chain, audit_to_json, aux_digraph, claim_check, f_values,
                      find_transitive_tournament, format_audit_kv, format_audit_text,
                      g_inequality_check, is_bad, is_good, iter_all_triples, make_star,
                      minimality_check, serialize_palette, stars_bounds, target_density,
@@ -55,6 +56,32 @@ def test_x_sets_empty_palette():
     assert (counts.x1, counts.x2, counts.x3) == (8, 8, 8)
     assert (counts.x12, counts.x13, counts.x23) == (8, 8, 8)
     assert counts.union == 8
+
+
+def _enumerated_x_sets(p):
+    """The oracle for x_sets: every count by enumerating all m^3 triples."""
+    m = p.num_colors
+    adm12, adm13, adm23 = (admissible_pairs(p, i, j) for i, j in ((1, 2), (1, 3), (2, 3)))
+    x1 = x2 = x3 = x12 = x13 = x23 = union = 0
+    for a, b, c in itertools.product(range(m), repeat=3):
+        in1, in2, in3 = (b, c) not in adm23, (a, c) not in adm13, (a, b) not in adm12
+        x1, x2, x3 = x1 + in1, x2 + in2, x3 + in3
+        x12, x13, x23 = x12 + (in1 and in2), x13 + (in1 and in3), x23 + (in2 and in3)
+        union += in1 or in2 or in3
+    return XSetCounts(x1, x2, x3, x12, x13, x23, union)
+
+
+def test_x_sets_match_enumeration():
+    two = list(iter_all_triples(2))
+    palettes = [Palette(2, [t for i, t in enumerate(two) if bits >> i & 1])
+                for bits in range(1 << 8)]
+    rng = random.Random(25)
+    for m in (3, 4):
+        for _ in range(60):
+            dens = rng.random()
+            palettes.append(Palette(m, [t for t in iter_all_triples(m) if rng.random() < dens]))
+    for p in palettes:
+        assert x_sets(p) == _enumerated_x_sets(p), p.sorted_triples()
 
 
 def test_f_values_single_triple():

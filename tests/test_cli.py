@@ -1,9 +1,11 @@
+import argparse
 import inspect
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +171,41 @@ def test_brown_harary_at_five_vertices_is_pinned():
     for args, stdout in golden.items():
         proc = run(*args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, ""), args
+
+
+def test_verify_rows_match_the_labelled_sweep():
+    # The class sweep's rows against every labelled digraph, each checked.
+    cases = [("caro-wei", k, None) for k in range(2, 6)]
+    cases += [("tk-square", k, tau) for k in range(4, 7) for tau in (None, "1/2", "2/3", "1")]
+    for lemma, k, tau in cases:
+        rows = []
+        for n in range(1, 5):
+            total = free = bad = 0
+            for d in starpal.digraphs.iter_loopless_digraphs(n):
+                report = (starpal.digraphs.caro_wei_check(d, k) if lemma == "caro-wei" else
+                          starpal.digraphs.tk_square_check(d, k, tau and Fraction(tau)))
+                total += 1
+                free += report.tk_free
+                bad += report.tk_free and not report.holds
+            rows.append({"n": n, "digraphs": total, "tkfree": free, "violations": bad})
+        args = argparse.Namespace(lemma=lemma, k=k, max_n=4, tau=tau)
+        assert starpal.cli._verify_rows(args) == rows, (lemma, k, tau)
+
+
+def test_verify_at_five_vertices_is_pinned():
+    # Both rows at n = 5 were recorded with a sweep over all 2^20 labelled digraphs.
+    proc = run("verify", "--lemma", "caro-wei", "--max-n", "5", "--k", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "lemma caro-wei k=3\nn=1 digraphs=1 tkfree=1 violations=0\n"
+        "n=2 digraphs=4 tkfree=4 violations=0\nn=3 digraphs=64 tkfree=39 violations=0\n"
+        "n=4 digraphs=4096 tkfree=921 violations=0\n"
+        "n=5 digraphs=1048576 tkfree=47462 violations=0\n"
+        "result all-hold checked=48427 violations=0\n")
+    proc = run("verify", "--lemma", "tk-square", "--max-n", "5", "--k", "4")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "\nn=5 digraphs=1048576 tkfree=634016 violations=3530\n" in proc.stdout
+    assert proc.stdout.endswith("result violated checked=637638 violations=4016\n")
 
 
 def test_audit_formats(bad_file):
@@ -348,6 +385,16 @@ def test_audit_rejects_nonpositive_node_budget(bad_file):
     assert proc.returncode == 2
     assert proc.stderr == "error: node budget must be positive\n"
     assert proc.stdout == ""
+
+
+def test_audit_budget_bounds_time_on_many_colours(tmp_path, capsys):
+    # Counting the X-sets over all 400^3 triples first took about 30 s.
+    path = tmp_path / "wide.pal"
+    path.write_text("palette 400\n0 1 2\n")
+    start = time.perf_counter()
+    assert main(["audit", str(path), "--star", "5", "--node-budget", "5"]) == 3
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "error: node budget exhausted (6 checks, budget 5)\n"
 
 
 def test_check_rejects_nonpositive_node_budget(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
                      iter_loopless_digraphs, parse_digraph, serialize_digraph,
                      tk_square_check, tripartite_construction, tripartite_report,
                      turan_max_arcs)
-from starpal.digraphs import _arc_free_classes, _find_tk, _is_arc_free_colouring
+from starpal.digraphs import (_arc_free_classes, _find_tk, _is_arc_free_colouring,
+                              _tk_free_classes)
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -313,6 +315,33 @@ def test_iter_loopless_digraphs_counts():
         assert [set(d.sorted_arcs()) for d in iter_loopless_digraphs(n)] == reference
     assert sum(1 for _ in iter_loopless_digraphs(4)) == 4096
     assert all(has_loop(d) is None for d in iter_loopless_digraphs(3))
+
+
+def test_tk_free_classes_count_isomorphism_classes():
+    # With k = n + 1 every digraph is T_k-free: the classes are all
+    # isomorphism classes of loopless digraphs (OEIS A000273).
+    for n, classes in enumerate((1, 1, 3, 16, 218, 9608)):
+        orbits = [orbit for _, orbit in _tk_free_classes(n, n + 1)]
+        assert len(orbits) == classes, n
+        assert sum(orbits) == 1 << n * (n - 1), n
+        assert all(math.factorial(n) % orbit == 0 for orbit in orbits), n
+
+
+def test_tk_free_class_orbits_partition_the_labelled_sweep():
+    # Relabelling each class's member in every way gives each T_k-free
+    # labelled digraph in exactly one class, orbit_size times over.
+    for n in range(5):
+        perms = list(itertools.permutations(range(n)))
+        for k in range(1, n + 2):
+            labelled = {d.out for d in iter_loopless_digraphs(n) if is_tk_free(d, k)}
+            seen = set()
+            for out, orbit in _tk_free_classes(n, k):
+                d = Digraph.from_masks(n, out)
+                orbit_outs = {Digraph(n, [(p[u], p[v]) for u, v in d.sorted_arcs()]).out
+                              for p in perms}
+                assert len(orbit_outs) == orbit and not orbit_outs & seen, (n, k, out)
+                seen |= orbit_outs
+            assert seen == labelled, (n, k)
 
 
 def test_degree_stats_counts_loops_both_ways():
