@@ -18,9 +18,9 @@ from typing import Optional
 
 from .audit import (_flag, audit_chain, audit_to_json, format_audit_kv,
                     format_audit_text, stars_bounds)
-from .digraphs import (AuxPolicy, Digraph, _arc_positions, _tk_free_classes, aux_digraph,
-                       brute_max_arcs, caro_wei_check, find_transitive_tournament,
-                       parse_digraph, serialize_digraph, tk_square_check,
+from .digraphs import (AuxPolicy, Digraph, _arc_positions, _caro_wei_sums, _tk_free_classes,
+                       _tk_square_sums, aux_digraph, brute_max_arcs,
+                       find_transitive_tournament, parse_digraph, serialize_digraph,
                        tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
 from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star, parse_threegraph
@@ -166,7 +166,7 @@ def _verify_rows(args) -> list[dict]:
     """One row per n of the verify sweep.
 
     The digraph lemmas read only degrees and T_k-freeness, so a digraph row
-    checks one member of each T_k-free isomorphism class and counts it with
+    sums the degrees of one member per `_tk_free_classes` class, weighted by
     its orbit size; the 2^(n(n-1)) labelled total is closed form.
     """
     rows = []
@@ -180,10 +180,10 @@ def _verify_rows(args) -> list[dict]:
         free = bad = 0
         for out, orbit in _tk_free_classes(n, args.k):
             d = Digraph.from_masks(n, out)
-            report = (caro_wei_check(d, args.k) if args.lemma == "caro-wei"
-                      else tk_square_check(d, args.k, tau))
+            holds = (_caro_wei_sums(d, args.k) if args.lemma == "caro-wei"
+                     else _tk_square_sums(d, args.k, tau))[-1]
             free += orbit
-            bad += orbit * (not report.holds)
+            bad += orbit * (not holds)
         rows.append({"n": n, "digraphs": 1 << n * (n - 1), "tkfree": free, "violations": bad})
     return rows
 

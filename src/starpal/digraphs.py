@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
-from .palette import Palette, Triple, _read_records
+from .palette import Palette, Triple, _orbit_sweep, _read_records
 
 Arc = tuple[int, int]
 
@@ -321,31 +321,22 @@ def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:
 
 def _tk_free_classes(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(out_masks, orbit_size) once per isomorphism class of T_k-free loopless
-    digraphs on n vertices; the orbit sizes sum to the labelled count.
-
-    Breadth-first by arc count.  Arc u -> v is bit u*n + v of a packed mask,
-    and a class carries its packed masks under all n! vertex permutations,
-    identity first, so adding an arc ORs in that arc's bit under each
-    permutation.  The largest mask keys the class and the number of distinct
-    masks is its orbit size n!/|Aut|.  Only T_k-free classes are extended: a
-    T_k stays when arcs are added.  Refuses n > 5 as `_arc_positions` does.
+    digraphs on n vertices, by `_orbit_sweep` over the n! vertex permutations
+    with arc u -> v as bit u*n + v; a class is accepted when it holds no T_k.
+    Refuses n > 5 as `_arc_positions` does.
     """
     perms = list(itertools.permutations(range(n)))
     arcs = [tuple(1 << p[u] * n + p[v] for p in perms) for u, v in _arc_positions(n)]
     row = (1 << n) - 1
-    level = [(0,) * len(perms)]
-    while level:
-        grown: dict[int, tuple[int, ...]] = {}
-        for masks in level:
-            out = tuple(masks[0] >> u * n & row for u in range(n))
-            if _find_tk(out, k) is not None:
-                continue
+
+    def accept(_state: object, _arc: int, key: int) -> Optional[tuple[int, ...]]:
+        out = tuple(key >> u * n & row for u in range(n))
+        return out if _find_tk(out, k) is None else None
+
+    empty = (0,) * n
+    if _find_tk(empty, k) is None:
+        for _, masks, out in _orbit_sweep(arcs, len(perms), empty, accept):
             yield out, len(set(masks))
-            for bits in arcs:
-                if not masks[0] & bits[0]:
-                    grown_masks = tuple(map(operator.or_, masks, bits))
-                    grown.setdefault(max(grown_masks), grown_masks)
-        level = list(grown.values())
 
 
 def degree_stats(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -383,17 +374,21 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    return CaroWeiReport(d.num_vertices, k, is_tk_free(d, k), *_caro_wei_sums(d, k))
+
+
+def _caro_wei_sums(d: Digraph, k: int) -> tuple[Optional[Fraction], Fraction, bool]:
+    """caro_wei_check's (sum_ratio, bound, holds), read from degrees alone."""
     n = d.num_vertices
     outs, ins = degree_stats(d)
-    tk_free = is_tk_free(d, k)
     bound = Fraction((k - 2) * n)
     # m/(1-m) = x/(n-x) with x = max(d+(v), d-(v)), over one common denominator.
     xs = [max(o, i) for o, i in zip(outs, ins)]
     if n in xs:
-        return CaroWeiReport(n, k, tk_free, None, bound, False)
+        return None, bound, False
     den = math.lcm(*(n - x for x in xs))
     total = Fraction(sum(x * (den // (n - x)) for x in xs), den)
-    return CaroWeiReport(n, k, tk_free, total, bound, total <= bound)
+    return total, bound, total <= bound
 
 
 @dataclass(frozen=True)
@@ -416,12 +411,9 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
     The inequality, with the default threshold tau = 2/(k-1), is
     sum over V' = {v : m(v) >= tau} of (m(v) - 1/2)^2 <= (k-3)^2 / (4 (k-1)^2) * n.
     The report says whether it holds for d and, separately, whether d is
-    T_k-free; nothing here assumes the inequality is true.  It is false for
-    T_k-free digraphs at k = 4: n = 4 with arcs
-    {(0,1),(0,2),(0,3),(1,0),(1,2),(1,3)} is T_4-free, V' = {0,1}, and the
-    sum 1/8 exceeds the bound 1/9 (the README's known failing criterion,
-    acceptance criterion 5).  Per the README it holds when V' covers every
-    vertex, and for k >= 7.  Requires k >= 4.
+    T_k-free; nothing here assumes the inequality is true, and it is false
+    for some T_4-free digraphs (README, "Known failing criterion").
+    Requires k >= 4.
 
     tau may be an int, a Fraction or a finite float; V' is decided in
     integers, x * q >= p * n for x = max(d+(v), d-(v)) and tau = p/q exactly,
@@ -429,18 +421,24 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
     """
     if k < 4:
         raise ValueError(f"k must be at least 4, got {k}")
+    tau, *sums = _tk_square_sums(d, k, tau)
+    return TkSquareReport(d.num_vertices, k, tau, is_tk_free(d, k), *sums)
+
+
+def _tk_square_sums(d: Digraph, k: int, tau: Optional[Fraction],
+                    ) -> tuple[Fraction, frozenset[int], Fraction, Fraction, bool]:
+    """tk_square_check's (tau, vprime, sum_sq, bound, holds), read from degrees alone."""
     if tau is None:
         tau = Fraction(2, k - 1)
     n = d.num_vertices
     outs, ins = degree_stats(d)
-    tk_free = is_tk_free(d, k)
     xs = [max(o, i) for o, i in zip(outs, ins)]
     t = Fraction(tau)
     vprime = frozenset(v for v, x in enumerate(xs) if x * t.denominator >= t.numerator * n)
     # (m - 1/2)^2 = (2x - n)^2 / (4n^2); n = 0 has no V'.
     total = Fraction(sum((2 * xs[v] - n) ** 2 for v in vprime), 4 * n * n or 1)
     bound = Fraction((k - 3) ** 2, 4 * (k - 1) ** 2) * n
-    return TkSquareReport(n, k, tau, tk_free, vprime, total, bound, total <= bound)
+    return tau, vprime, total, bound, total <= bound
 
 
 def tripartite_construction(n: int, eps: Fraction) -> Digraph:
@@ -474,8 +472,7 @@ class TripartiteReport:
     which simplifies to (1/36 + 6 eps^3) n.  That exceeds the squared-excess
     bound for k = 4, (1/36) n, for every eps > 0 (the threshold 2/(k-1) is
     tight), and exceeds n/16 = (1/36 + 5/144) n exactly when n > 0 and
-    6 eps^3 > 5/144, i.e. eps > 0.179...: exceeds_sixteenth is True for
-    n = 30, eps = 1/5 and False for eps = 1/6.  digraph is the construction.
+    6 eps^3 > 5/144 (eps > 0.179...).  digraph is the construction.
     """
 
     n: int

@@ -15,11 +15,9 @@ needs (1,3).  These are the block-1, block-2 and cross arcs.  Cross arcs are
 bidirected, so any T_k can be reordered with its block-1 vertices first; a
 loop lets every leaf take its color on one side of the apex.  That loop or
 T_k, read from the out-masks, is the certificate: `is_bad` stops there, and
-`is_good` builds and verifies a witness from it.  The searches call
-`_star_certificate` on a base palette's masks with one triple's arcs OR-ed
-in.  Any other 3-graph goes to a sweep over all orderings with a
-backtracking pair-coloring search.  `brute_force_is_good`, a cap-guarded
-full enumeration, is the oracle.
+`is_good` builds and verifies a witness from it.  Any other 3-graph goes to
+a sweep over all orderings with a backtracking pair-coloring search.
+`brute_force_is_good`, a cap-guarded full enumeration, is the oracle.
 """
 
 from __future__ import annotations
@@ -180,11 +178,9 @@ def is_good(p: Palette, f: ThreeGraph, *,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[GoodnessWitness]:
     """Decide goodness of p for f; return a verified witness or None (bad).
 
-    A star is decided once, by `_star_certificate` (a loop or T_k of
-    `aux_digraph(p, AuxPolicy.LITERAL)`, read from its out-masks), and the
-    witness is built from that certificate.  Any other 3-graph goes to a
-    sweep over all vertex orderings, each with a backtracking search for a
-    pair coloring that prunes with per-pair candidate sets.
+    A star's witness is built from its `_star_certificate`; any other
+    3-graph goes to the ordering sweep, whose per-ordering backtracking
+    search prunes with per-pair candidate sets.
 
     node_budget bounds the elementary checks: on the star route |P| for the
     projection scan plus one per T_k search node, on the sweep |P| per

@@ -11,11 +11,13 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from operator import or_
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import FormatError
 
 Triple = tuple[int, int, int]
+_S = TypeVar("_S")
 
 # All ordered pairs (i, j) of distinct coordinate positions, 1-based.
 POSITION_PAIRS: tuple[tuple[int, int], ...] = (
@@ -188,6 +190,41 @@ def _relabeled_masks(m: int, triples: Iterable[Triple]) -> list[int]:
     return masks
 
 
+def _orbit_sweep(images: Sequence[Sequence[int]], order: int, start: _S,
+                 accept: Callable[[_S, int, int], Optional[_S]],
+                 ) -> Iterator[tuple[int, tuple[int, ...], _S]]:
+    """Breadth-first orderly sweep of atom sets, one per class under a group.
+
+    images[i] holds atom i's bit under each of the `order` group elements,
+    identity first.  A class carries its masks under every element, keyed by
+    the largest; its orbit size is the number of distinct masks.  Level by
+    level (atom count), keys descending, each accepted class is yielded as
+    (key, masks, state), the empty one with state `start` first, and then
+    extended.  accept(state, i, key) is called once per new key with the
+    state of the first class reaching it, by atom i, and returns the key's
+    state, or None to reject it: it must reject every superset of a rejected set.
+    """
+    level = {0: ((0,) * order, start)}
+    while level:
+        grown: dict[int, tuple[tuple[int, ...], _S]] = {}
+        rejected: set[int] = set()  # a key's popcount is its level: none recur later
+        for key in sorted(level, reverse=True):
+            masks, state = level[key]
+            yield key, masks, state
+            for i, bits in enumerate(images):
+                if masks[0] & bits[0]:
+                    continue
+                new = max(map(or_, masks, bits))
+                if new in grown or new in rejected:
+                    continue
+                new_state = accept(state, i, new)
+                if new_state is None:
+                    rejected.add(new)
+                else:
+                    grown[new] = (tuple(map(or_, masks, bits)), new_state)
+        level = grown
+
+
 def _mask_triples(m: int, mask: int) -> list[Triple]:
     """The triples of an m-color bitmask, sorted lexicographically."""
     return list(itertools.compress(iter_all_triples(m), map(int, format(mask, f"0{m ** 3}b"))))
@@ -235,9 +272,8 @@ def _read_records(text: str, word: str,
 def parse_palette(text: str) -> Palette:
     """Parse the palette text format.
 
-    Format: a header line `palette <m>`, then one `<c1> <c2> <c3>` line per
-    triple.  Blank lines are ignored and `#` starts a comment that runs to the
-    end of the line.  A duplicate triple is a warning and is collapsed; an
+    A `palette <m>` header, then one `<c1> <c2> <c3>` line per triple, read
+    by `_read_records`.  A duplicate triple is a warning and is collapsed; an
     out-of-range color is an error.
     """
     m, records = _read_records(text, "palette", 3)

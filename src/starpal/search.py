@@ -1,20 +1,17 @@
 """Searches for extremal S_k-bad palettes.
 
 Badness is closed under removing triples and colors, so only maximal bad
-palettes can carry the best objective value.  Exhaustive mode has one
-engine, the breadth-first sweep of one palette per color-relabeling class,
-and counts classes with dedup or palettes without it; the local engine
-restarts randomized greedy growth.  Every maximal bad palette is grown by
-`_grow`, one pass over a triple order.  The sweep and `_grow` decide a bad
-base plus one triple by `_bad_extension`, from the base's aux masks with the
-triple's four arcs OR-ed in, so a candidate builds no Palette and no aux
-digraph.  A triple (x, x, z) or (x, y, y) puts a loop in the aux digraph:
-`_grow` rejects it unbuilt; the sweep decides none, counts their classes
-once each as stabilizer orbits and charges each base |base| + 1 once.  The
-engines offer sorted triple lists to `_Best`, and no search loop calls
-`canonical_form`.  Reported optima are re-verified bad: by their star
-decision, then by a checked colouring of the aux digraph into k-1 arc-free
-classes, or, where greedy finds none, by the brute-force oracle within its cap.
+palettes can carry the best objective value.  Exhaustive mode sweeps one
+palette per color-relabeling class and counts classes with dedup or palettes
+without it; the local engine restarts randomized greedy growth.  Every
+maximal bad palette is grown by `_grow`, one pass over a triple order.  The
+sweep and `_grow` decide a bad base plus one triple by `_bad_extension`, from
+the base's aux masks with the triple's four arcs OR-ed in, so a candidate
+builds no Palette and no aux digraph.  The engines offer sorted triple lists
+to `_Best`, and no search loop calls `canonical_form`.  Reported optima are
+re-verified bad: by their star decision, then by a checked colouring of the
+aux digraph into k-1 arc-free classes, or, where greedy finds none, by the
+brute-force oracle within its cap.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .audit import minimality_check
@@ -31,7 +27,7 @@ from .errors import EnumerationCapExceeded
 from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
 from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_bad, _star_certificate,
                        brute_force_is_good, make_star)
-from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples,
+from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples, _orbit_sweep,
                       _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
                       remove_color)
 
@@ -169,51 +165,37 @@ def _verify_bad(p: Palette, k: int, node_budget: int) -> None:
 
 
 def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
-    """Breadth-first sweep of canonical bad palettes, one per relabeling class.
+    """`_orbit_sweep` of the bad palettes over the loop-free triples, one
+    canonical palette per relabeling class, each carrying its aux masks.
 
-    Each bad palette is a smaller bad one plus a triple, so growing every
-    canonical bad palette by every absent triple reaches every class; good
-    ones are pruned.  A level maps each class's canonical mask to its
-    relabeled masks (identity first) and sorted triples.  Bases and triples
-    ascend, so a class is first reached as its canonical form (an earlier
-    base + t would sort before it) and keeps base + t's masks.  Extensions by
-    a loop-forcing triple are good; their classes are the orbits of the
-    base's stabilizer, counted once each by Burnside and never decided, and
-    the base pays once the |base| + 1 that deciding them would charge.
-    Returns the classes examined and every bad class's orbit size, the empty palette's first.
+    An extension is accepted when `_bad_extension` finds it bad.  Bases and
+    triples ascend, so a class is first reached as its canonical form (an
+    earlier base + t would sort before it).  Extensions by a loop-forcing
+    triple are good; their classes are the orbits of the base's stabilizer,
+    counted once each by Burnside and never decided, and the base pays once
+    the |base| + 1 that deciding them would charge.  Returns the classes
+    examined and every bad class's orbit size, the empty palette's first.
     """
     m = cfg.num_colors
     # Loop-forcing triples a relabeling fixes: (x, x, z), (x, y, y) on its f fixed colors.
     loops = [2 * f * f - f for f in (sum(c == x for c, x in enumerate(perm))
                                      for perm in itertools.permutations(range(m)))]
-    loop_free = [(t, _relabeled_masks(m, [t])) for t in iter_all_triples(m)
-                 if t[0] != t[1] != t[2]]
-    examined, sizes = 1, [1]  # the empty palette is bad
-    level = {0: ([0] * len(loops), [])}
-    while level:
-        next_level: dict[int, tuple[list[int], list[Triple]]] = {}
-        seen_good: set[int] = set()  # a key's popcount is its level: none recur later
-        for key in sorted(level, reverse=True):  # one size: ascending triple lists
-            masks, base = level[key]
-            _Budget(cfg.node_budget).spend(len(base) + 1)
-            stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
-            examined += sum(stabilizer) // len(stabilizer)
-            out = _aux_masks(m, base)
-            for t, tbits in loop_free:
-                if masks[0] & tbits[0]:
-                    continue
-                ckey = max(map(or_, masks, tbits))
-                if ckey in next_level or ckey in seen_good:
-                    continue
-                examined += 1
-                if _bad_extension(out, len(base), t, cfg.k, cfg.node_budget) is None:
-                    seen_good.add(ckey)
-                    continue
-                triples = _mask_triples(m, ckey)
-                next_level[ckey] = (list(map(or_, masks, tbits)), triples)
-                best.offer(triples)
-        sizes += [len(set(masks)) for masks, _ in next_level.values()]
-        level = next_level
+    loop_free = [t for t in iter_all_triples(m) if t[0] != t[1] != t[2]]
+    examined, sizes = 1, []  # the empty palette is bad
+
+    def accept(out: list[int], i: int, key: int) -> Optional[list[int]]:
+        nonlocal examined
+        examined += 1
+        return _bad_extension(out, key.bit_count() - 1, loop_free[i], cfg.k, cfg.node_budget)
+
+    images = [_relabeled_masks(m, [t]) for t in loop_free]
+    for key, masks, _ in _orbit_sweep(images, len(loops), [0] * (2 * m), accept):
+        triples = _mask_triples(m, key)
+        _Budget(cfg.node_budget).spend(len(triples) + 1)
+        stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
+        examined += sum(stabilizer) // len(stabilizer)
+        sizes.append(len(set(masks)))
+        best.offer(triples)
     return examined, sizes
 
 
@@ -241,10 +223,8 @@ def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
 def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Palette:
     """One pass over order: add each absent triple that keeps p S_k-bad.
 
-    The grown palette's aux masks are kept and each trial is decided from
-    them by `_bad_extension`; the result is built as a Palette once.  When
-    order holds every triple the result is maximal bad: a rejected triple
-    stays rejected (supersets of good palettes are good), so no second pass.
+    When order holds every triple the result is maximal bad: a rejected
+    triple stays rejected (supersets of good palettes are good).
     """
     triples = set(p.triples)
     out = _aux_masks(p.num_colors, triples)
@@ -286,9 +266,7 @@ def minimalize(p: Palette, k: int) -> Palette:
     Each pass removes the color `minimality_check` returns.  Badness is
     preserved under color removal (any witness for the smaller palette lifts
     to the larger one); each removal asserts it as a cross-check.  Returns
-    the palette it ends at, which is minimal: it has one color, or every
-    removal strictly decreases density.  Raises ValueError when p is not
-    S_k-bad.
+    the minimal palette it ends at; raises ValueError when p is not S_k-bad.
     """
     if not _star_bad(p, k):
         raise ValueError("palette is not bad; minimalize expects a bad palette")

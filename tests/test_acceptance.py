@@ -7,15 +7,12 @@ are asserted inside the criterion block so a blown limit is a failure.
 
 import contextlib
 import functools
-import itertools
 import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-
-import pytest
 
 from starpal import (AuxPolicy, Palette, SearchConfig, aux_digraph,
                      brute_force_is_good, brute_max_arcs, caro_wei_check,

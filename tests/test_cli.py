@@ -192,6 +192,24 @@ def test_verify_rows_match_the_labelled_sweep():
         assert starpal.cli._verify_rows(args) == rows, (lemma, k, tau)
 
 
+def test_verify_rows_search_each_class_for_a_tk_once(monkeypatch):
+    # The sweep finds each class T_k-free; the lemma rows must not search it again.
+    calls = []
+    find_tk = starpal.digraphs._find_tk
+
+    def counting(out, k, spend=None):
+        calls.append(k)
+        return find_tk(out, k, spend)
+
+    monkeypatch.setattr(starpal.digraphs, "_find_tk", counting)
+    for n in range(1, 5):
+        list(starpal.digraphs._tk_free_classes(n, 4))
+    sweep_calls = len(calls)
+    calls.clear()
+    starpal.cli._verify_rows(argparse.Namespace(lemma="tk-square", k=4, max_n=4, tau=None))
+    assert len(calls) == sweep_calls > 0
+
+
 def test_verify_at_five_vertices_is_pinned():
     # Both rows at n = 5 were recorded with a sweep over all 2^20 labelled digraphs.
     proc = run("verify", "--lemma", "caro-wei", "--max-n", "5", "--k", "3")

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,

@@ -4,13 +4,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from starpal import (POSITION_PAIRS, FormatError, Palette, admissible_pairs,
                      canonical_form, compute_stats, iter_all_triples, parse_digraph,
                      parse_palette, parse_threegraph, permute_colors, remove_color,
                      serialize_palette)
+from starpal.palette import _orbit_sweep
 
 palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -243,3 +244,49 @@ def test_canonical_form_matches_permutation_oracle():
         for _ in range(150):
             p = Palette(m, rng.sample(universe, rng.randrange(len(universe) + 1)))
             assert canonical_form(p).sorted_triples() == _least_relabeling(p)
+
+
+def _graph_sweep(n, triangle_free):
+    """`_orbit_sweep` of undirected graphs on n vertices under S_n, the
+    2-subsets as atoms; accept counts each edge set's atoms as its state."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    images = [tuple(1 << index[tuple(sorted((p[a], p[b])))] for p in perms) for a, b in pairs]
+    calls = []
+
+    def accept(state, i, key):
+        calls.append(key)
+        edges = {pair for j, pair in enumerate(pairs) if key >> j & 1}
+        if triangle_free and any({(a, b), (a, c), (b, c)} <= edges
+                                 for a, b, c in itertools.combinations(range(n), 3)):
+            return None
+        return state + 1
+
+    classes = list(_orbit_sweep(images, len(perms), 0, accept))
+    return images, classes, calls
+
+
+def test_orbit_sweep_counts_graph_classes():
+    # All graphs (OEIS A000088) and triangle-free graphs (A006785) on n vertices.
+    for triangle_free, counts in ((False, (1, 1, 2, 4, 11, 34)), (True, (1, 1, 2, 3, 7, 14))):
+        for n, count in enumerate(counts):
+            images, classes, calls = _graph_sweep(n, triangle_free)
+            assert len(classes) == count, (n, triangle_free)
+            if not triangle_free:
+                assert sum(len(set(masks)) for _, masks, _ in classes) == 2 ** (n * (n - 1) // 2)
+            keys = [key for key, _, _ in classes]
+            assert keys == sorted(keys, key=lambda key: (key.bit_count(), -key))
+            for key, masks, state in classes:
+                assert key == max(masks) and state == key.bit_count()
+            # accept sees each key reached from an accepted class exactly once.
+            reached = {max(m | b for m, b in zip(masks, bits))
+                       for _, masks, _ in classes for bits in images if not masks[0] & bits[0]}
+            assert sorted(calls) == sorted(reached), (n, triangle_free)
+
+
+def test_orbit_sweep_without_atoms_yields_the_empty_class():
+    def accept(state, i, key):
+        raise AssertionError("no atom to add")
+
+    assert list(_orbit_sweep([], 1, "start", accept)) == [(0, (0,), "start")]
