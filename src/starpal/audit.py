@@ -21,9 +21,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraphs import AuxPolicy, Digraph, _find_tk, aux_digraph, degree_stats, has_loop
+from .digraphs import AuxPolicy, _find_tk, aux_digraph, has_loop
 from .goodness import DEFAULT_NODE_BUDGET, _Budget, is_bad, make_star
-from .palette import Palette, PaletteStats, admissible_pairs, compute_stats, remove_color
+from .palette import (Palette, PaletteStats, _arcs, _degrees, _projections, compute_stats,
+                      remove_color)
 
 
 def target_density(k: int) -> Fraction:
@@ -63,12 +64,12 @@ def x_sets(p: Palette) -> XSetCounts:
     its position pair); their disagreement is an internal error
     (RuntimeError), never a report entry.
     """
-    return _x_sets(p, compute_stats(p))
+    return _x_sets(compute_stats(p), _projections(p.num_colors, p.triples))
 
 
-def _x_sets(p: Palette, stats: PaletteStats) -> XSetCounts:
-    """x_sets from stats = compute_stats(p)."""
-    m = p.num_colors
+def _x_sets(stats: PaletteStats, rows: tuple[list[int], list[int], list[int]]) -> XSetCounts:
+    """x_sets from stats = compute_stats(p) and rows = _projections(m, p.triples)."""
+    m = stats.num_colors
     # Co-degrees m - d_{i,j}, in the POSITION_PAIRS order of adm_degree.
     c12, c13, c21, c23, c31, c32 = ([m - d for d in row] for row in stats.adm_degree)
     for key, form, mirrored in (("x1", c23, c32), ("x2", c13, c31), ("x3", c12, c21)):
@@ -80,13 +81,9 @@ def _x_sets(p: Palette, stats: PaletteStats) -> XSetCounts:
         return sum(x * y for x, y in zip(u, v))
 
     # (a, b, c) is outside the union iff (a, b), (a, c) and (b, c) are
-    # (1,2)-, (1,3)- and (2,3)-admissible: count the c per (a, b) on bitmasks.
-    r13, r23 = [0] * m, [0] * m
-    for a, c in admissible_pairs(p, 1, 3):
-        r13[a] |= 1 << c
-    for b, c in admissible_pairs(p, 2, 3):
-        r23[b] |= 1 << c
-    outside = sum((r13[a] & r23[b]).bit_count() for a, b in admissible_pairs(p, 1, 2))
+    # (1,2)-, (1,3)- and (2,3)-admissible: count the c per (a, b) on the rows.
+    r12, r13, r23 = rows
+    outside = sum((r13[a] & r23[b]).bit_count() for a, b in _arcs(r12))
     return XSetCounts(m * sum(c23), m * sum(c13), m * sum(c12), dot(c31, c32),
                       dot(c21, c23), dot(c12, c13), m ** 3 - outside)
 
@@ -218,7 +215,8 @@ def audit_chain(p: Palette, k: int, *,
     t = p.num_triples
     spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
-    xs = _x_sets(p, stats)
+    r12, r13, r23 = _projections(n, p.triples)
+    xs = _x_sets(stats, (r12, r13, r23))
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
     # An audit reports about a hundred rationals but only a dozen or two
@@ -287,18 +285,16 @@ def audit_chain(p: Palette, k: int, *,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
     # D on 2n vertices; its blocks D1 (first n) and D2 (last n).  LITERAL's
-    # blocks are the (2,3)- and (1,2)-projection digraphs, OBSERVATION's the
-    # same two swapped, so each block is sliced, measured and searched once.
-    literal = aux_digraph(p, AuxPolicy.LITERAL)
-    blocks = [(degree_stats(g), _find_tk(g.out, k, spend) is None) for g in (
-        Digraph.from_masks(n, [mask & ((1 << n) - 1) for mask in literal.out[:n]]),
-        Digraph.from_masks(n, [mask >> n for mask in literal.out[n:]]))]
+    # blocks are the rows R23 and R12, OBSERVATION's the same two swapped, so
+    # each block is searched once and its degrees are its rows' palette degrees.
+    blocks = [((d23, d32), _find_tk(r23, k, spend) is None),
+              ((d12, d21), _find_tk(r12, k, spend) is None)]
     policy_data = []
-    for policy, dig, (((outs1, ins1), tk_d1), ((outs2, ins2), tk_d2)) in (
-            (AuxPolicy.LITERAL, literal, blocks),
-            (AuxPolicy.OBSERVATION, aux_digraph(p, AuxPolicy.OBSERVATION), blocks[::-1])):
+    for policy, (((outs1, ins1), tk_d1), ((outs2, ins2), tk_d2)) in (
+            (AuxPolicy.LITERAL, blocks), (AuxPolicy.OBSERVATION, blocks[::-1])):
         suffix = policy.value
-        outs, ins = degree_stats(dig)
+        dig = aux_digraph(p, policy)
+        outs, ins = _degrees(dig.out)
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(*degs)]
                      for degs in ((outs, ins), (outs1, ins1), (outs2, ins2)))

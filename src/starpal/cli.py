@@ -18,7 +18,7 @@ from typing import Optional
 
 from .audit import (_flag, audit_chain, audit_to_json, format_audit_kv,
                     format_audit_text, stars_bounds)
-from .digraphs import (AuxPolicy, Digraph, _arc_positions, _caro_wei_sums, _tk_free_classes,
+from .digraphs import (AuxPolicy, _arc_positions, _caro_wei_sums, _tk_free_classes,
                        _tk_square_sums, aux_digraph, brute_max_arcs,
                        find_transitive_tournament, parse_digraph, serialize_digraph,
                        tripartite_report, turan_max_arcs)
@@ -74,8 +74,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "min_degree": str(st.min_degree),
             "slices": [list(row) for row in st.slice_counts],
             "degrees": {
-                f"{i},{j}": list(st.adm_degree[POSITION_PAIRS.index((i, j))])
-                for (i, j) in POSITION_PAIRS
+                f"{i},{j}": list(row) for (i, j), row in zip(POSITION_PAIRS, st.adm_degree)
             },
         })
     print(f"colors {st.num_colors}")
@@ -86,9 +85,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         row = st.slice_counts[a]
         print(f"slice color={a} pos1={row[0]} pos2={row[1]} pos3={row[2]}")
     m = st.num_colors
-    for (i, j) in POSITION_PAIRS:
-        for a in range(m):
-            d = st.degree(i, j, a)
+    for (i, j), row in zip(POSITION_PAIRS, st.adm_degree):
+        for a, d in enumerate(row):
             print(f"degree pos={i},{j} color={a} d={d} e={_fr(Fraction(d, m), args)} co={m - d}")
     return EXIT_OK
 
@@ -179,9 +177,8 @@ def _verify_rows(args) -> list[dict]:
     for n in range(1, args.max_n + 1):
         free = bad = 0
         for out, orbit in _tk_free_classes(n, args.k):
-            d = Digraph.from_masks(n, out)
-            holds = (_caro_wei_sums(d, args.k) if args.lemma == "caro-wei"
-                     else _tk_square_sums(d, args.k, tau))[-1]
+            holds = (_caro_wei_sums(out, args.k) if args.lemma == "caro-wei"
+                     else _tk_square_sums(out, args.k, tau))[-1]
             free += orbit
             bad += orbit * (not holds)
         rows.append({"n": n, "digraphs": 1 << n * (n - 1), "tkfree": free, "violations": bad})

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapExceeded
-from .palette import Palette, Triple, _orbit_sweep, _read_records
+from .palette import Palette, _arcs, _aux_masks, _degrees, _orbit_sweep, _read_records
 
 Arc = tuple[int, int]
 
@@ -73,13 +73,7 @@ class Digraph:
         return d
 
     def sorted_arcs(self) -> list[Arc]:
-        arcs = []
-        for u, mask in enumerate(self.out):
-            while mask:
-                low = mask & -mask
-                arcs.append((u, low.bit_length() - 1))
-                mask ^= low
-        return arcs
+        return list(_arcs(self.out))
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -127,23 +121,6 @@ def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
     elif policy is not AuxPolicy.LITERAL:
         raise ValueError(f"unknown policy {policy!r}")
     return Digraph.from_masks(2 * m, out)
-
-
-def _aux_masks(m: int, triples: Iterable[Triple], out: Sequence[int] = ()) -> list[int]:
-    """LITERAL aux out-masks of `triples` on m colors, OR-ed into a copy of out if given.
-
-    One pass over the triples: a triple (x, y, z) gives the first-block arc of
-    its (2,3) projection, the second-block arc of its (1,2) projection and
-    both cross arcs of its (1,3) projection.  Arcs only accumulate, so the
-    masks of a palette extend to those of any superset.
-    """
-    out = list(out) or [0] * (2 * m)
-    for (x, y, z) in triples:
-        out[y] |= 1 << z
-        out[m + x] |= 1 << (m + y)
-        out[x] |= 1 << (m + z)
-        out[m + z] |= 1 << x
-    return out
 
 
 def has_loop(d: Digraph) -> Optional[int]:
@@ -203,11 +180,8 @@ def _arc_free_classes(out: Sequence[int], k: int) -> Optional[list[int]]:
     T_k-free and loopless.
     """
     adj = list(out)
-    for u, mask in enumerate(out):
-        while mask:
-            low = mask & -mask
-            adj[low.bit_length() - 1] |= 1 << u
-            mask ^= low
+    for u, v in _arcs(out):
+        adj[v] |= 1 << u
     classes: list[int] = []
     for v, nbrs in enumerate(adj):
         if nbrs >> v & 1:
@@ -340,17 +314,9 @@ def _tk_free_classes(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def degree_stats(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(out_degrees, in_degrees) of d as ints, one step per arc.
-
-    A loop counts once toward each side.  The lemmas read a vertex through
-    x = max(out, in), its normalized degree m(v) = x / n.
-    """
-    ins = [0] * d.num_vertices
-    for mask in d.out:
-        while mask:
-            ins[(mask & -mask).bit_length() - 1] += 1
-            mask &= mask - 1
-    return tuple(mask.bit_count() for mask in d.out), tuple(ins)
+    """(out_degrees, in_degrees) of d as ints, by `_degrees`.  The lemmas read a
+    vertex through x = max(out, in), its normalized degree m(v) = x / n."""
+    return _degrees(d.out)
 
 
 @dataclass(frozen=True)
@@ -374,16 +340,15 @@ def caro_wei_check(d: Digraph, k: int) -> CaroWeiReport:
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    return CaroWeiReport(d.num_vertices, k, is_tk_free(d, k), *_caro_wei_sums(d, k))
+    return CaroWeiReport(d.num_vertices, k, is_tk_free(d, k), *_caro_wei_sums(d.out, k))
 
 
-def _caro_wei_sums(d: Digraph, k: int) -> tuple[Optional[Fraction], Fraction, bool]:
-    """caro_wei_check's (sum_ratio, bound, holds), read from degrees alone."""
-    n = d.num_vertices
-    outs, ins = degree_stats(d)
+def _caro_wei_sums(out: Sequence[int], k: int) -> tuple[Optional[Fraction], Fraction, bool]:
+    """caro_wei_check's (sum_ratio, bound, holds), from out's degrees alone."""
+    n = len(out)
     bound = Fraction((k - 2) * n)
     # m/(1-m) = x/(n-x) with x = max(d+(v), d-(v)), over one common denominator.
-    xs = [max(o, i) for o, i in zip(outs, ins)]
+    xs = list(map(max, *_degrees(out)))
     if n in xs:
         return None, bound, False
     den = math.lcm(*(n - x for x in xs))
@@ -421,18 +386,17 @@ def tk_square_check(d: Digraph, k: int, tau: Optional[Fraction] = None) -> TkSqu
     """
     if k < 4:
         raise ValueError(f"k must be at least 4, got {k}")
-    tau, *sums = _tk_square_sums(d, k, tau)
+    tau, *sums = _tk_square_sums(d.out, k, tau)
     return TkSquareReport(d.num_vertices, k, tau, is_tk_free(d, k), *sums)
 
 
-def _tk_square_sums(d: Digraph, k: int, tau: Optional[Fraction],
+def _tk_square_sums(out: Sequence[int], k: int, tau: Optional[Fraction],
                     ) -> tuple[Fraction, frozenset[int], Fraction, Fraction, bool]:
-    """tk_square_check's (tau, vprime, sum_sq, bound, holds), read from degrees alone."""
+    """tk_square_check's (tau, vprime, sum_sq, bound, holds), from out's degrees alone."""
     if tau is None:
         tau = Fraction(2, k - 1)
-    n = d.num_vertices
-    outs, ins = degree_stats(d)
-    xs = [max(o, i) for o, i in zip(outs, ins)]
+    n = len(out)
+    xs = list(map(max, *_degrees(out)))
     t = Fraction(tau)
     vprime = frozenset(v for v, x in enumerate(xs) if x * t.denominator >= t.numerator * n)
     # (m - 1/2)^2 = (2x - n)^2 / (4n^2); n = 0 has no V'.

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .digraphs import _aux_masks, _find_tk, _loop_vertex
+from .digraphs import _find_tk, _loop_vertex
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
-from .palette import Palette, _read_records
+from .palette import Palette, _aux_masks, _read_records
 
 Edge = tuple[int, int, int]
 Pair = tuple[int, int]

@@ -96,7 +96,8 @@ class PaletteStats:
 
 
 def admissible_pairs(p: Palette, i: int, j: int) -> frozenset[tuple[int, int]]:
-    """All (a, b) such that some triple has coordinate i = a and coordinate j = b."""
+    """All (a, b) such that some triple has coordinate i = a and coordinate j = b;
+    read off the triples, it is the tests' reference for `_projections`."""
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError(f"positions must be distinct members of {{1,2,3}}, got ({i},{j})")
     return frozenset((t[i - 1], t[j - 1]) for t in p.triples)
@@ -106,25 +107,61 @@ def compute_stats(p: Palette) -> PaletteStats:
     """Exact minimum slice degree, slice counts and admissibility degrees of p."""
     m = p.num_colors
     slices = [0] * (3 * m)  # slices[3a + i]: triples with color a at position i
-    pair_sets: dict[tuple[int, int], set[tuple[int, int]]] = {pr: set() for pr in POSITION_PAIRS}
     for t in p.triples:
         for i in range(3):
             slices[3 * t[i] + i] += 1
-        for (i, j) in POSITION_PAIRS:
-            pair_sets[(i, j)].add((t[i - 1], t[j - 1]))
-    adm = []
-    for (i, j) in POSITION_PAIRS:
-        row = [0] * m
-        for (a, _b) in pair_sets[(i, j)]:
-            row[a] += 1
-        adm.append(tuple(row))
-    min_slice = min(slices)
+    (d12, d21), (d13, d31), (d23, d32) = map(_degrees, _projections(m, p.triples))
     return PaletteStats(
         num_colors=m,
-        min_degree=Fraction(min_slice, m * m),
+        min_degree=Fraction(min(slices), m * m),
         slice_counts=tuple(tuple(slices[3 * a:3 * a + 3]) for a in range(m)),
-        adm_degree=tuple(adm),
+        adm_degree=(d12, d13, d21, d23, d31, d32),  # in POSITION_PAIRS order
     )
+
+
+def _aux_masks(m: int, triples: Iterable[Triple], out: Sequence[int] = ()) -> list[int]:
+    """LITERAL aux out-masks of `triples` on m colors, OR-ed into a copy of out if given.
+
+    One pass over the triples: a triple (x, y, z) gives the first-block arc of
+    its (2,3) projection, the second-block arc of its (1,2) projection and
+    both cross arcs of its (1,3) projection.  Arcs only accumulate, so the
+    masks of a palette extend to those of any superset.
+    """
+    out = list(out) or [0] * (2 * m)
+    for (x, y, z) in triples:
+        out[y] |= 1 << z
+        out[m + x] |= 1 << (m + y)
+        out[x] |= 1 << (m + z)
+        out[m + z] |= 1 << x
+    return out
+
+
+def _projections(m: int, triples: Iterable[Triple]) -> tuple[list[int], list[int], list[int]]:
+    """Rows (r12, r13, r23): bit b of r_ij[a] is set when (a, b) is (i,j)-admissible,
+    so `_degrees(r_ij)` is (d_{i,j}, d_{j,i}).  Sliced off `_aux_masks`: R23 and
+    R13 are the first block's low and high halves, R12 the second block's high half."""
+    out = _aux_masks(m, triples)
+    low = (1 << m) - 1
+    return ([mask >> m for mask in out[m:]], [mask >> m for mask in out[:m]],
+            [mask & low for mask in out[:m]])
+
+
+def _arcs(out: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The arcs (u, v) of out-masks, bit v of out[u], by u and then v ascending."""
+    for u, mask in enumerate(out):
+        while mask:
+            low = mask & -mask
+            yield u, low.bit_length() - 1
+            mask ^= low
+
+
+def _degrees(out: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(out_degrees, in_degrees) of out-masks as ints, one step per arc; a loop
+    counts once toward each side."""
+    ins = [0] * len(out)
+    for _, v in _arcs(out):
+        ins[v] += 1
+    return tuple(mask.bit_count() for mask in out), tuple(ins)
 
 
 def remove_color(p: Palette, a: int) -> Palette:

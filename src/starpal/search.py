@@ -24,12 +24,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded
-from .digraphs import _arc_free_classes, _aux_masks, _is_arc_free_colouring
+from .digraphs import _arc_free_classes, _is_arc_free_colouring
 from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_bad, _star_certificate,
                        brute_force_is_good, make_star)
-from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _mask_triples, _orbit_sweep,
-                      _relabeled_masks, canonical_form, compute_stats, iter_all_triples,
-                      remove_color)
+from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _aux_masks, _mask_triples,
+                      _orbit_sweep, _relabeled_masks, canonical_form, compute_stats,
+                      iter_all_triples, remove_color)
 
 OBJECTIVES = ("density", "min_degree")
 MODES = ("exhaustive", "local")

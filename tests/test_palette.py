@@ -4,7 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from starpal import (POSITION_PAIRS, FormatError, Palette, admissible_pairs,
@@ -20,6 +20,32 @@ palettes = st.integers(1, 3).flatmap(
         st.frozensets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
                                 st.integers(0, m - 1))),
     ))
+
+
+def _degree_examples():
+    """All 256 two-colour palettes, then seeded 4- to 6-colour ones, where the
+    second aux block's rows sit 4 or more bits up.  Every other wide palette
+    gains loop rows (a, a) in R12 and R23: triples (a, a, c) and (c, b, b)."""
+    two = list(iter_all_triples(2))
+    yield from (Palette(2, [t for i, t in enumerate(two) if bits >> i & 1])
+                for bits in range(1 << 8))
+    rng = random.Random(27)
+    for m in (4, 5, 6):
+        for i, dens in enumerate((0.02, 0.05, 0.1, 0.3, 0.6, 0.9)):
+            triples = {t for t in iter_all_triples(m) if rng.random() < dens}
+            if i % 2:
+                a, b, c = (rng.randrange(m) for _ in range(3))
+                triples |= {(a, a, c), (c, b, b)}
+            yield Palette(m, triples)
+
+
+def with_examples(items):
+    """Hypothesis explicit examples, one per item, run beside the drawn ones."""
+    def decorate(test):
+        for item in items:
+            test = example(item)(test)
+        return test
+    return decorate
 
 
 def test_constructor_normalizes_and_validates():
@@ -110,6 +136,7 @@ def test_slice_counts_sum_to_triple_count(p):
 
 
 @given(palettes)
+@with_examples(_degree_examples())
 def test_degree_counts_admissible_partners(p):
     st_ = compute_stats(p)
     for (i, j) in POSITION_PAIRS:
