@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraphs import AuxPolicy, _find_tk, aux_digraph, has_loop
-from .goodness import DEFAULT_NODE_BUDGET, _Budget, is_bad, make_star
-from .palette import (Palette, PaletteStats, _arcs, _degrees, _projections, compute_stats,
-                      remove_color)
+from .digraphs import AuxPolicy, _find_tk, _loop_vertex, _policy_masks
+from .goodness import DEFAULT_NODE_BUDGET, _Budget, _star_bad
+from .palette import (Palette, PaletteStats, _arcs, _aux_masks, _degrees, _projections,
+                      compute_stats, remove_color)
 
 
 def target_density(k: int) -> Fraction:
@@ -64,11 +64,11 @@ def x_sets(p: Palette) -> XSetCounts:
     its position pair); their disagreement is an internal error
     (RuntimeError), never a report entry.
     """
-    return _x_sets(compute_stats(p), _projections(p.num_colors, p.triples))
+    return _x_sets(compute_stats(p), _projections(_aux_masks(p.num_colors, p.triples)))
 
 
 def _x_sets(stats: PaletteStats, rows: tuple[list[int], list[int], list[int]]) -> XSetCounts:
-    """x_sets from stats = compute_stats(p) and rows = _projections(m, p.triples)."""
+    """x_sets from stats = compute_stats(p) and rows = `_projections` of p's aux masks."""
     m = stats.num_colors
     # Co-degrees m - d_{i,j}, in the POSITION_PAIRS order of adm_degree.
     c12, c13, c21, c23, c31, c32 = ([m - d for d in row] for row in stats.adm_degree)
@@ -215,7 +215,8 @@ def audit_chain(p: Palette, k: int, *,
     t = p.num_triples
     spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
-    r12, r13, r23 = _projections(n, p.triples)
+    out = _aux_masks(n, p.triples)
+    r12, r13, r23 = _projections(out)
     xs = _x_sets(stats, (r12, r13, r23))
     f1, f2, f3 = _f_numerators(stats)
     d12, d13, d21, d23, d31, d32 = stats.adm_degree  # in POSITION_PAIRS order
@@ -284,24 +285,24 @@ def audit_chain(p: Palette, k: int, *,
         assembled_target == 4 * (k * k - 5 * k + 7), True,
         "equality: 1/4 + 3 (k-3)^2 / (4 (k-1)^2) equals the target"))
 
-    # D on 2n vertices; its blocks D1 (first n) and D2 (last n).  LITERAL's
-    # blocks are the rows R23 and R12, OBSERVATION's the same two swapped, so
-    # each block is searched once and its degrees are its rows' palette degrees.
+    # D on 2n vertices is `_policy_masks(out, policy)`; its blocks D1 (first n) and
+    # D2 (last n) are LITERAL's rows R23 and R12, swapped under OBSERVATION, so each
+    # block is searched once and its degrees are its rows' palette degrees.
     blocks = [((d23, d32), _find_tk(r23, k, spend) is None),
               ((d12, d21), _find_tk(r12, k, spend) is None)]
     policy_data = []
     for policy, (((outs1, ins1), tk_d1), ((outs2, ins2), tk_d2)) in (
             (AuxPolicy.LITERAL, blocks), (AuxPolicy.OBSERVATION, blocks[::-1])):
         suffix = policy.value
-        dig = aux_digraph(p, policy)
-        outs, ins = _degrees(dig.out)
+        d_out = _policy_masks(out, policy)
+        outs, ins = _degrees(d_out)
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(*degs)]
                      for degs in ((outs, ins), (outs1, ins1), (outs2, ins2)))
-        tk_d = _find_tk(dig.out, k, spend) is None
+        tk_d = _find_tk(d_out, k, spend) is None
         policy_data.append(PolicyData(
             policy=policy,
-            loop_vertex=has_loop(dig),
+            loop_vertex=_loop_vertex(d_out),
             d_tk_free=tk_d, d1_tk_free=tk_d1, d2_tk_free=tk_d2,
             m_d=tuple(fr(v, 2 * n) for v in x),
             m_d1=tuple(fr(v, n) for v in y1),
@@ -515,7 +516,7 @@ def claim_check(p: Palette, k: int) -> ClaimReport:
         raise ValueError(f"k must be at least 2, got {k}")
     stats = compute_stats(p)
     rhs = 3 * p.density - Fraction(2 * k - 3, k - 1)
-    bad = is_bad(p, make_star(k))
+    bad = _star_bad(p, k)
     return ClaimReport(
         k=k,
         delta=stats.min_degree,

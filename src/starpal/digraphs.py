@@ -106,21 +106,24 @@ class AuxPolicy(enum.Enum):
 
 
 def aux_digraph(p: Palette, policy: AuxPolicy = AuxPolicy.LITERAL) -> Digraph:
-    """Auxiliary digraph on 2m vertices: colors 0..m-1 twice.
-
-    Vertex a in the first block is index a; in the second block, index m + a.
-    LITERAL's out-masks are `_aux_masks(m, p.triples)`; OBSERVATION swaps
-    their blocks' arcs and keeps the cross arcs.  Other policies raise ValueError.
-    """
+    """Auxiliary digraph on 2m vertices: color a is vertex a in the first block and
+    m + a in the second; its out-masks are `_policy_masks` of `_aux_masks`."""
     m = p.num_colors
-    out = _aux_masks(m, p.triples)
-    if policy is AuxPolicy.OBSERVATION:
-        low = (1 << m) - 1
-        out = ([out[m + a] >> m | out[a] & ~low for a in range(m)]
-               + [(out[a] & low) << m | out[m + a] & low for a in range(m)])
-    elif policy is not AuxPolicy.LITERAL:
+    return Digraph.from_masks(2 * m, _policy_masks(_aux_masks(m, p.triples), policy))
+
+
+def _policy_masks(out: Sequence[int], policy: AuxPolicy) -> Sequence[int]:
+    """The aux out-masks under policy, from the LITERAL ones `out` (see `_aux_masks`):
+    LITERAL's are out itself, OBSERVATION's swap the two blocks' arcs and keep
+    the cross arcs, and any other policy raises ValueError."""
+    if policy is AuxPolicy.LITERAL:
+        return out
+    if policy is not AuxPolicy.OBSERVATION:
         raise ValueError(f"unknown policy {policy!r}")
-    return Digraph.from_masks(2 * m, out)
+    m = len(out) // 2
+    low = (1 << m) - 1
+    return ([out[m + a] >> m | out[a] & ~low for a in range(m)]
+            + [(out[a] & low) << m | out[m + a] & low for a in range(m)])
 
 
 def has_loop(d: Digraph) -> Optional[int]:

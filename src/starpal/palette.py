@@ -110,7 +110,7 @@ def compute_stats(p: Palette) -> PaletteStats:
     for t in p.triples:
         for i in range(3):
             slices[3 * t[i] + i] += 1
-    (d12, d21), (d13, d31), (d23, d32) = map(_degrees, _projections(m, p.triples))
+    (d12, d21), (d13, d31), (d23, d32) = map(_degrees, _projections(_aux_masks(m, p.triples)))
     return PaletteStats(
         num_colors=m,
         min_degree=Fraction(min(slices), m * m),
@@ -136,11 +136,11 @@ def _aux_masks(m: int, triples: Iterable[Triple], out: Sequence[int] = ()) -> li
     return out
 
 
-def _projections(m: int, triples: Iterable[Triple]) -> tuple[list[int], list[int], list[int]]:
-    """Rows (r12, r13, r23): bit b of r_ij[a] is set when (a, b) is (i,j)-admissible,
-    so `_degrees(r_ij)` is (d_{i,j}, d_{j,i}).  Sliced off `_aux_masks`: R23 and
+def _projections(out: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Rows (r12, r13, r23) of LITERAL aux out-masks: bit b of r_ij[a] is set when
+    (a, b) is (i,j)-admissible, so `_degrees(r_ij)` is (d_{i,j}, d_{j,i}).  R23 and
     R13 are the first block's low and high halves, R12 the second block's high half."""
-    out = _aux_masks(m, triples)
+    m = len(out) // 2
     low = (1 << m) - 1
     return ([mask >> m for mask in out[m:]], [mask >> m for mask in out[:m]],
             [mask & low for mask in out[:m]])

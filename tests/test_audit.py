@@ -3,6 +3,8 @@ import importlib
 import itertools
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +141,36 @@ def test_audit_builds_each_rational_once(monkeypatch):
         report = audit.audit_chain(p, 5)
         assert report.premised_steps_hold
         assert len(built) > 10 and max(built.values()) == 1, built.most_common(3)
+
+
+def test_audit_builds_aux_masks_twice_and_no_digraph(monkeypatch):
+    # One mask build inside compute_stats and one read under both rule sets;
+    # each counter replaces its function wherever a starpal module binds it.
+    calls = collections.Counter()
+    aux_masks = importlib.import_module("starpal.palette")._aux_masks
+
+    def counting_masks(*args, **kwargs):
+        calls["_aux_masks"] += 1
+        return aux_masks(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "starpal" or name.startswith("starpal."):
+            for attr, value in list(vars(module).items()):
+                if value is aux_masks:
+                    monkeypatch.setattr(module, attr, counting_masks)
+    from_masks = Digraph.from_masks.__func__
+
+    def counting_from_masks(cls, *args):
+        calls["Digraph.from_masks"] += 1
+        return from_masks(cls, *args)
+
+    monkeypatch.setattr(Digraph, "from_masks", classmethod(counting_from_masks))
+    rng = random.Random(5)
+    for p in (OPTIMUM, Palette.full(2), Palette.empty(3),
+              Palette(4, [t for t in iter_all_triples(4) if rng.random() < 0.5])):
+        calls.clear()
+        audit_chain(p, 5)
+        assert calls == {"_aux_masks": 2}, (p, calls)
 
 
 def test_audit_chain_rejects_small_k():
@@ -365,6 +397,14 @@ def test_claim_check_reference():
     assert minimality_check(OPTIMUM) is None
     with pytest.raises(ValueError):
         claim_check(OPTIMUM, 1)
+
+
+def test_claim_check_decides_a_large_star_without_building_it():
+    # make_star(3000) has C(3000, 2) edges; the star's verdict reads none of them.
+    start = time.perf_counter()
+    rep = claim_check(OPTIMUM, 3000)
+    assert time.perf_counter() - start < 1
+    assert rep.is_bad and rep.is_minimal
 
 
 def test_format_text_and_kv():

@@ -323,10 +323,21 @@ def test_stats_and_audit_stdout_is_pinned(tmp_path, capsys, name):
         assert capsys.readouterr() == (fh.read(), "")
 
 
-# One sha256 per `stats` format over all 256 two-colour palettes: each palette,
-# in bitmask order over `itertools.product(range(2), repeat=3)`, adds its exit
-# code, a newline and its stdout.  The file holds `<format> <hex digest>` lines.
-STATS_M2_DIGESTS = os.path.join(GOLDEN_DIR, "stats-m2-all.sha256")
+# One sha256 per command and format over all 256 two-colour palettes: each
+# palette, in bitmask order over `itertools.product(range(2), repeat=3)`, adds
+# its exit code, a newline and its stdout.  Each file holds `<format> <hex
+# digest>` lines, one per `<command> - <options>` run.
+M2_PINNED = (
+    ("stats-m2-all.sha256", "stats",
+     {"text": [], "float": ["--float"], "json": ["--json"]}),
+    ("aux-m2-all.sha256", "aux",
+     {"literal": ["--policy", "literal"], "literal-json": ["--policy", "literal", "--json"],
+      "observation": ["--policy", "observation"],
+      "observation-json": ["--policy", "observation", "--json"]}),
+    ("audit-m2-k5-all.sha256", "audit",
+     {"text": ["--star", "5"], "kv": ["--star", "5", "--kv"],
+      "json": ["--star", "5", "--json"]}),
+)
 
 
 def test_stats_over_all_two_colour_palettes_is_pinned(monkeypatch, capsys):
@@ -334,18 +345,19 @@ def test_stats_over_all_two_colour_palettes_is_pinned(monkeypatch, capsys):
     two = list(itertools.product(range(2), repeat=3))
     texts = ["palette 2\n" + "".join(f"{a} {b} {c}\n" for i, (a, b, c) in enumerate(two)
                                      if bits >> i & 1) for bits in range(1 << 8)]
-    with open(STATS_M2_DIGESTS, encoding="utf-8") as fh:
-        expected = dict(line.split() for line in fh)
-    digests = {}
-    for name, options in (("text", []), ("float", ["--float"]), ("json", ["--json"])):
-        h = hashlib.sha256()
-        for text in texts:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-            args = parser.parse_args(["stats", "-", *options])
-            code = args.func(args)
-            h.update(f"{code}\n{capsys.readouterr().out}".encode())
-        digests[name] = h.hexdigest()
-    assert digests == expected
+    for filename, command, formats in M2_PINNED:
+        with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
+            expected = dict(line.split() for line in fh)
+        digests = {}
+        for name, options in formats.items():
+            h = hashlib.sha256()
+            for text in texts:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                args = parser.parse_args([command, "-", *options])
+                code = args.func(args)
+                h.update(f"{code}\n{capsys.readouterr().out}".encode())
+            digests[name] = h.hexdigest()
+        assert digests == expected, filename
 
 
 @pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41), (1, 2), (13, 14), (60, 61)])
