@@ -213,12 +213,16 @@ def _is_arc_free_colouring(out: Sequence[int], classes: Sequence[int], k: int) -
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """An ordered k-tuple (v_1..v_k) with all arcs v_i -> v_j for i < j, or None.
 
-    Backward arcs are permitted and loops are irrelevant: containment only
-    asks for the forward arcs.
+    Backward arcs and loops are irrelevant.  None comes without a search when
+    first-fit splits d into k-1 arc-free classes: two of any k vertices share one.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _find_tk(d.out, k)
+    classes = _arc_free_classes(d.out, k)
+    if classes is None:
+        return _find_tk(d.out, k)
+    assert _is_arc_free_colouring(d.out, classes, k)
+    return None
 
 
 def is_tk_free(d: Digraph, k: int) -> bool:

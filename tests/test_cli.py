@@ -340,24 +340,55 @@ M2_PINNED = (
 )
 
 
+def _digests(parser, monkeypatch, capsys, filename, runs, formats):
+    """The `<format> <hex digest>` lines of a golden sha256 file, recomputed.
+
+    Each run of `runs`, a (stdin, argv) pair, adds its exit code, or the
+    text of the ValueError it raises, a newline and its stdout to the digest
+    of each format, whose options follow argv.
+    """
+    digests = {}
+    for name, options in formats.items():
+        h = hashlib.sha256()
+        for text, argv in runs:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            args = parser.parse_args([*argv, *options])
+            try:
+                result = args.func(args)
+            except ValueError as exc:
+                result = f"error: {exc}"
+            h.update(f"{result}\n{capsys.readouterr().out}".encode())
+        digests[name] = h.hexdigest()
+    with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
+        assert digests == dict(line.split() for line in fh), filename
+
+
 def test_stats_over_all_two_colour_palettes_is_pinned(monkeypatch, capsys):
     parser = starpal.cli.build_parser()
     two = list(itertools.product(range(2), repeat=3))
     texts = ["palette 2\n" + "".join(f"{a} {b} {c}\n" for i, (a, b, c) in enumerate(two)
                                      if bits >> i & 1) for bits in range(1 << 8)]
     for filename, command, formats in M2_PINNED:
-        with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
-            expected = dict(line.split() for line in fh)
-        digests = {}
-        for name, options in formats.items():
-            h = hashlib.sha256()
-            for text in texts:
-                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-                args = parser.parse_args([command, "-", *options])
-                code = args.func(args)
-                h.update(f"{code}\n{capsys.readouterr().out}".encode())
-            digests[name] = h.hexdigest()
-        assert digests == expected, filename
+        _digests(parser, monkeypatch, capsys, filename,
+                 [(text, [command, "-"]) for text in texts], formats)
+
+
+def test_tk_find_and_construct_over_small_inputs_are_pinned(monkeypatch, capsys):
+    # The CLI paths through find_transitive_tournament: `tk-find - --k 1..4` on
+    # all 512 digraphs on 3 vertices, loops included (bitmask order over
+    # `itertools.product(range(3), repeat=2)`), and `construct tripartite` for
+    # n = 0..45 and four eps, the invalid pairs pinning their error text.
+    parser = starpal.cli.build_parser()
+    formats = {"text": [], "json": ["--json"]}
+    positions = list(itertools.product(range(3), repeat=2))
+    texts = ["digraph 3\n" + "".join(f"{u} {v}\n" for i, (u, v) in enumerate(positions)
+                                     if bits >> i & 1) for bits in range(1 << 9)]
+    _digests(parser, monkeypatch, capsys, "tk-find-n3-all.sha256",
+             [(text, ["tk-find", "-", "--k", str(k)]) for k in range(1, 5) for text in texts],
+             formats)
+    _digests(parser, monkeypatch, capsys, "construct-tripartite-all.sha256",
+             [("", ["construct", "tripartite", "--n", str(n), "--eps", eps])
+              for n in range(46) for eps in ("0", "1/6", "1/12", "1/3")], formats)
 
 
 @pytest.mark.parametrize("budget, spent", [(5, 6), (40, 41), (1, 2), (13, 14), (60, 61)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import starpal.digraphs
 from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
                      Palette, admissible_pairs, audit_chain, aux_digraph,
                      brute_max_arcs, caro_wei_check, degree_stats,
@@ -548,3 +549,62 @@ def test_looped_digraph_gets_no_arc_free_certificate():
                 looped[v] |= 1 << v
                 assert _arc_free_classes(looped, n + 1) is None
                 assert not _is_arc_free_colouring(looped, [1 << u for u in range(n)], n + 1)
+
+
+def _oracle_digraphs():
+    """Every out-mask list with n <= 3 (loops included), every loopless digraph
+    on 4 vertices, and 2,000 seeded random digraphs with n <= 12."""
+    for n in range(4):
+        yield from itertools.product(range(1 << n), repeat=n)
+    for d in iter_loopless_digraphs(4):
+        yield d.out
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        sparsity = rng.randrange(3)  # AND 0-2 extra random words to vary the density
+        out = []
+        for _ in range(n):
+            mask = rng.getrandbits(n)
+            for _ in range(sparsity):
+                mask &= rng.getrandbits(n)
+            out.append(mask)
+        yield tuple(out)
+
+
+@pytest.fixture()
+def find_tk_calls(monkeypatch):
+    """The k of every `_find_tk` call made through `starpal.digraphs`."""
+    calls = []
+
+    def counting(out, k, spend=None):
+        calls.append(k)
+        return _find_tk(out, k, spend)
+
+    monkeypatch.setattr(starpal.digraphs, "_find_tk", counting)
+    return calls
+
+
+def test_find_transitive_tournament_matches_the_plain_search(find_tk_calls):
+    # The arc-free colouring answers some cases before the DFS; every answer,
+    # witness or None, must be the plain DFS's own.
+    cases = certified = 0
+    for out in _oracle_digraphs():
+        n = len(out)
+        d = Digraph.from_masks(n, out)
+        for k in range(1, n + 2):
+            searched = len(find_tk_calls)
+            assert find_transitive_tournament(d, k) == _find_tk(out, k), (out, k)
+            cases += 1
+            certified += len(find_tk_calls) == searched
+    assert 0 < certified < cases
+
+
+def test_tight_blow_ups_are_decided_without_a_search(find_tk_calls):
+    assert tk_square_check(tripartite_construction(90, Fraction(1, 90)), 4).tk_free
+    assert find_tk_calls == []
+    five_partite = Digraph(30, [(u, v) for u in range(30) for v in range(30) if u % 5 != v % 5])
+    assert caro_wei_check(five_partite, 6).tk_free
+    assert find_tk_calls == []
+    report = tripartite_report(90, Fraction(1, 90))
+    assert report.t4_free and report.t3_witness == (0, 29, 58)
+    assert find_tk_calls == [3]
