@@ -23,7 +23,7 @@ from .digraphs import (AuxPolicy, _arc_positions, _caro_wei_sums, _tk_free_class
                        find_transitive_tournament, parse_digraph, serialize_digraph,
                        tripartite_report, turan_max_arcs)
 from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
-from .goodness import DEFAULT_NODE_BUDGET, is_good, make_star, parse_threegraph
+from .goodness import DEFAULT_NODE_BUDGET, _star_bad, is_good, make_star, parse_threegraph
 from .palette import POSITION_PAIRS, compute_stats, parse_palette, serialize_palette
 from .search import SearchConfig, search
 
@@ -94,10 +94,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     p = parse_palette(_read_text(args.palette))
     if args.graph is not None:
-        f = parse_threegraph(_read_text(args.graph))
-    else:
-        f = make_star(args.star)
-    w = is_good(p, f, node_budget=args.node_budget)
+        w = is_good(p, parse_threegraph(_read_text(args.graph)), node_budget=args.node_budget)
+    elif _star_bad(p, args.star, args.node_budget):
+        w = None
+    else:  # only a good verdict builds the star: its witness prints all C(K,2) pairs
+        w = is_good(p, make_star(args.star), node_budget=args.node_budget)
     if args.json:
         if w is None:
             return _emit_json({"verdict": "bad"})

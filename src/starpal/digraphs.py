@@ -176,27 +176,29 @@ def _find_tk(out: Sequence[int], k: int,
 def _arc_free_classes(out: Sequence[int], k: int) -> Optional[list[int]]:
     """At most k-1 vertex classes (as masks) with no arc inside any, or None.
 
-    First-fit greedy colouring of the underlying undirected graph, vertices
-    in increasing index.  Gives up (None) on a loop or when a vertex would
-    need a k-th class.  The k vertices of a T_k are pairwise joined, so no
-    two share a class: classes that pass `_is_arc_free_colouring` prove out
-    T_k-free and loopless.
+    First-fit in increasing index: v joins the first class that holds no
+    out-neighbour of v and whose reach, the OR of its out-masks, misses v.
+    None at the first loop or the first vertex needing a k-th class.  No two
+    vertices of a T_k share a class, so the classes, returned only once
+    `_is_arc_free_colouring` passes them, prove out T_k-free and loopless.
     """
-    adj = list(out)
-    for u, v in _arcs(out):
-        adj[v] |= 1 << u
     classes: list[int] = []
-    for v, nbrs in enumerate(adj):
-        if nbrs >> v & 1:
+    reach: list[int] = []
+    for v, mask in enumerate(out):
+        if mask >> v & 1:
             return None
         for i, cls in enumerate(classes):
-            if not nbrs & cls:
+            if not (mask & cls or reach[i] >> v & 1):
                 classes[i] = cls | 1 << v
+                reach[i] |= mask
                 break
         else:
             if len(classes) >= k - 1:
                 return None
             classes.append(1 << v)
+            reach.append(mask)
+    if not _is_arc_free_colouring(out, classes, k):
+        raise RuntimeError("internal error: colouring certificate fails its check")
     return classes
 
 
@@ -218,10 +220,8 @@ def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    classes = _arc_free_classes(d.out, k)
-    if classes is None:
+    if _arc_free_classes(d.out, k) is None:
         return _find_tk(d.out, k)
-    assert _is_arc_free_colouring(d.out, classes, k)
     return None
 
 

@@ -326,7 +326,8 @@ def test_stats_and_audit_stdout_is_pinned(tmp_path, capsys, name):
 # One sha256 per command and format over all 256 two-colour palettes: each
 # palette, in bitmask order over `itertools.product(range(2), repeat=3)`, adds
 # its exit code, a newline and its stdout.  Each file holds `<format> <hex
-# digest>` lines, one per `<command> - <options>` run.
+# digest>` lines, one per `<command> - <options>` run; check-m2-all.sha256
+# runs `check - --star K` for K = 1..6 in turn, the first its error text.
 M2_PINNED = (
     ("stats-m2-all.sha256", "stats",
      {"text": [], "float": ["--float"], "json": ["--json"]}),
@@ -371,6 +372,19 @@ def test_stats_over_all_two_colour_palettes_is_pinned(monkeypatch, capsys):
     for filename, command, formats in M2_PINNED:
         _digests(parser, monkeypatch, capsys, filename,
                  [(text, [command, "-"]) for text in texts], formats)
+    _digests(parser, monkeypatch, capsys, "check-m2-all.sha256",
+             [(text, ["check", "-", "--star", str(k)]) for k in range(1, 7) for text in texts],
+             {"text": [], "json": ["--json"]})
+
+
+def test_check_decides_a_bad_star_before_building_it(monkeypatch, capsys, bad_file):
+    # A bad verdict prints no witness, so S_K and its C(K,2) edges are never built.
+    def refuse(k):
+        raise AssertionError(f"make_star({k}) was called")
+
+    monkeypatch.setattr(starpal.cli, "make_star", refuse)
+    assert main(["check", bad_file, "--star", "3000"]) == 0
+    assert capsys.readouterr() == ("verdict bad\n", "")
 
 
 def test_tk_find_and_construct_over_small_inputs_are_pinned(monkeypatch, capsys):

@@ -571,6 +571,63 @@ def _oracle_digraphs():
         yield tuple(out)
 
 
+def _undirected_first_fit(out, k):
+    """Reference for `_arc_free_classes`: first-fit, vertices in index order,
+    over the undirected graph of out, built in full before any vertex is
+    coloured.  None on a loop or when a vertex needs a k-th class."""
+    adj = list(out)
+    for u, v in itertools.product(range(len(out)), repeat=2):
+        if out[u] >> v & 1:
+            adj[v] |= 1 << u
+    classes = []
+    for v, nbrs in enumerate(adj):
+        if nbrs >> v & 1:
+            return None
+        for i, cls in enumerate(classes):
+            if not nbrs & cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            if len(classes) >= k - 1:
+                return None
+            classes.append(1 << v)
+    return classes
+
+
+def test_arc_free_classes_are_undirected_first_fit_class_for_class():
+    certified = 0
+    for out in _oracle_digraphs():
+        for k in range(1, len(out) + 2):
+            classes = _arc_free_classes(out, k)
+            assert classes == _undirected_first_fit(out, k), (out, k)
+            certified += classes is not None
+    assert certified
+
+
+class _CountedMasks:
+    """A sequence of out-masks that counts the masks it hands out."""
+
+    def __init__(self, masks):
+        self.masks, self.read = masks, 0
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, v):
+        self.read += 1
+        return self.masks[v]
+
+
+def test_first_fit_stops_at_the_vertex_that_needs_a_kth_class():
+    # Parts 0..89, 90..179 and 180..269: vertex 180 needs a third class.
+    masks = _CountedMasks(tripartite_construction(270, 0).out)
+    assert _arc_free_classes(masks, 3) is None
+    assert masks.read <= 181
+    looped = _CountedMasks([0, 0b10, 0, 0])  # vertex 1 carries a loop
+    assert _arc_free_classes(looped, 5) is None
+    assert looped.read == 2
+
+
 @pytest.fixture()
 def find_tk_calls(monkeypatch):
     """The k of every `_find_tk` call made through `starpal.digraphs`."""

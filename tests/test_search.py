@@ -10,7 +10,8 @@ from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digra
                      is_bad, is_good,
                      iter_all_triples, make_star, minimality_check, minimalize,
                      random_bad_palette, random_maximal_bad_palette, search)
-from starpal.digraphs import _arc_free_classes, _aux_masks, _find_tk
+from starpal.digraphs import (_arc_free_classes, _aux_masks, _find_tk,
+                              find_transitive_tournament, tripartite_construction)
 from starpal.palette import permute_colors
 from starpal.goodness import DEFAULT_NODE_BUDGET
 from starpal.search import OBJECTIVES, _bad_extension, _grow, _verify_bad
@@ -216,6 +217,17 @@ def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
     assert uncertified == [(lone, 3)]
     _verify_bad(lone, 3, DEFAULT_NODE_BUDGET)
     assert calls == [lone]
+
+
+def test_colouring_certificate_is_checked_in_one_place(monkeypatch):
+    # Both callers take their classes from `_arc_free_classes`, which checks
+    # them itself and raises rather than asserts, so the check holds under -O.
+    monkeypatch.setattr("starpal.digraphs._is_arc_free_colouring", lambda *_: False)
+    message = "^internal error: colouring certificate fails its check$"
+    with pytest.raises(RuntimeError, match=message):
+        find_transitive_tournament(tripartite_construction(9, 0), 4)
+    with pytest.raises(RuntimeError, match=message):
+        _verify_bad(OPTIMUM, 3, DEFAULT_NODE_BUDGET)
 
 
 def test_verify_bad_raises_on_good_palettes(monkeypatch):
