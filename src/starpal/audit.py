@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .digraphs import AuxPolicy, _find_tk, _loop_vertex, _policy_masks
-from .goodness import DEFAULT_NODE_BUDGET, _Budget, _star_bad
+from .errors import _Budget
+from .goodness import DEFAULT_NODE_BUDGET, _star_bad
 from .palette import (Palette, PaletteStats, _arcs, _aux_masks, _degrees, _projections,
                       compute_stats, remove_color)
 
@@ -209,11 +210,11 @@ def audit_chain(p: Palette, k: int, *,
     """
     if k < 5:
         raise ValueError(f"the audited chain needs k >= 5, got {k}")
-    spend = _Budget(node_budget).spend
+    budget = _Budget(node_budget)
     n = p.num_colors
     stats = compute_stats(p)
     t = p.num_triples
-    spend(t)
+    budget.spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
     out = _aux_masks(n, p.triples)
     r12, r13, r23 = _projections(out)
@@ -288,8 +289,8 @@ def audit_chain(p: Palette, k: int, *,
     # D on 2n vertices is `_policy_masks(out, policy)`; its blocks D1 (first n) and
     # D2 (last n) are LITERAL's rows R23 and R12, swapped under OBSERVATION, so each
     # block is searched once and its degrees are its rows' palette degrees.
-    blocks = [((d23, d32), _find_tk(r23, k, spend) is None),
-              ((d12, d21), _find_tk(r12, k, spend) is None)]
+    blocks = [((d23, d32), _find_tk(r23, k, budget) is None),
+              ((d12, d21), _find_tk(r12, k, budget) is None)]
     policy_data = []
     for policy, (((outs1, ins1), tk_d1), ((outs2, ins2), tk_d2)) in (
             (AuxPolicy.LITERAL, blocks), (AuxPolicy.OBSERVATION, blocks[::-1])):
@@ -299,7 +300,7 @@ def audit_chain(p: Palette, k: int, *,
         # m-value numerators: m_d = x/(2n), m_d1 = y1/n, m_d2 = y2/n.
         x, y1, y2 = ([max(o, i) for o, i in zip(*degs)]
                      for degs in ((outs, ins), (outs1, ins1), (outs2, ins2)))
-        tk_d = _find_tk(d_out, k, spend) is None
+        tk_d = _find_tk(d_out, k, budget) is None
         policy_data.append(PolicyData(
             policy=policy,
             loop_vertex=_loop_vertex(d_out),

@@ -437,6 +437,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:  # an input too large to hold fails the same way on every run
         print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:  # a count past the index range, as in `palette 2**64`
+        print("error: input too large", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, _Budget
 from .palette import Palette, _arcs, _aux_masks, _degrees, _orbit_sweep, _read_records
 
 Arc = tuple[int, int]
@@ -137,26 +137,24 @@ def _loop_vertex(out: Sequence[int]) -> Optional[int]:
 
 
 def _find_tk(out: Sequence[int], k: int,
-             spend: Optional[Callable[[int], None]] = None) -> Optional[tuple[int, ...]]:
+             budget: Optional[_Budget] = None) -> Optional[tuple[int, ...]]:
     """Ordered DFS for k distinct vertices with every forward arc present.
 
     out holds the out-masks of vertices 0..len(out)-1.  Loops in out are
     ignored: a chosen vertex leaves the candidate set.  Vertices are tried in
-    increasing index so the first witness is deterministic.  spend, when
-    given, is called with 1 at every search node.  The DFS keeps an explicit
-    stack, one candidate mask and one untried mask per depth, so the
-    recursion limit does not bound k.
+    increasing index so the first witness is deterministic.  The DFS keeps an
+    explicit stack, one candidate mask and one untried mask per depth, so the
+    recursion limit does not bound k.  budget, when given, is charged one per
+    search node in one spend as the search ends, which stops at the first node
+    past what the budget has left: BudgetExceeded reads as per-node spends would.
     """
     n = len(out)
     if k > n:
         return None
+    left = math.inf if budget is None else budget.limit - budget.spent
     prefix, cands, untried = [0] * k, [0] * k, [0] * k
-    depth, cand = 0, (1 << n) - 1
-    while True:
-        if spend is not None:
-            spend(1)
-        if depth == k:
-            return tuple(prefix)
+    depth, cand, nodes = 0, (1 << n) - 1, 1
+    while depth < k and nodes <= left:
         if cand.bit_count() >= k - depth:
             cands[depth] = untried[depth] = cand
         else:
@@ -164,13 +162,17 @@ def _find_tk(out: Sequence[int], k: int,
         while depth >= 0 and not untried[depth]:
             depth -= 1
         if depth < 0:
-            return None
+            break
         rest = untried[depth]
         low = rest & -rest
         untried[depth] = rest ^ low
         prefix[depth] = v = low.bit_length() - 1
         cand = cands[depth] & out[v] & ~low
         depth += 1
+        nodes += 1
+    if budget is not None:
+        budget.spend(nodes)  # raises when the search stopped at the node over its budget
+    return tuple(prefix) if depth == k else None
 
 
 def _arc_free_classes(out: Sequence[int], k: int) -> Optional[list[int]]:

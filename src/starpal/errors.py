@@ -18,5 +18,22 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class _Budget:
+    """Mutable counter of elementary constraint checks, shared across orderings."""
+
+    __slots__ = ("spent", "limit")
+
+    def __init__(self, limit: int):
+        if limit < 1:
+            raise ValueError("node budget must be positive")
+        self.spent = 0
+        self.limit = limit
+
+    def spend(self, amount: int) -> None:
+        self.spent += amount
+        if self.spent > self.limit:
+            raise BudgetExceeded(self.spent, self.limit)
+
+
 class EnumerationCapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed its configured size cap."""

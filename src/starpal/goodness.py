@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .digraphs import _find_tk, _loop_vertex
-from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
+from .errors import EnumerationCapExceeded, FormatError, _Budget
 from .palette import Palette, _aux_masks, _read_records
 
 Edge = tuple[int, int, int]
@@ -157,23 +157,6 @@ def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
     return True
 
 
-class _Budget:
-    """Mutable counter of elementary constraint checks, shared across orderings."""
-
-    __slots__ = ("spent", "limit")
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("node budget must be positive")
-        self.spent = 0
-        self.limit = limit
-
-    def spend(self, amount: int) -> None:
-        self.spent += amount
-        if self.spent > self.limit:
-            raise BudgetExceeded(self.spent, self.limit)
-
-
 def is_good(p: Palette, f: ThreeGraph, *,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[GoodnessWitness]:
     """Decide goodness of p for f; return a verified witness or None (bad).
@@ -241,12 +224,13 @@ def _star_certificate(out: Sequence[int], size: int, k: int,
     loop = _loop_vertex(out)
     if loop is not None:
         return (loop,) * k
-    tk = _find_tk(out, k, budget.spend)
+    tk = _find_tk(out, k, budget)
     if tk is None:
         return None
     m = len(out) // 2
     verts = tuple(sorted(tk, key=lambda v: v >= m))
-    assert len(verts) == k and all(out[u] >> v & 1 for u, v in itertools.combinations(verts, 2))
+    if len(verts) != k or not all(out[u] >> v & 1 for u, v in itertools.combinations(verts, 2)):
+        raise RuntimeError("internal error: T_k certificate fails its check")
     return verts
 
 

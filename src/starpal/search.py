@@ -7,8 +7,9 @@ without it; the local engine restarts randomized greedy growth.  Every
 maximal bad palette is grown by `_grow`, one pass over a triple order.  The
 sweep and `_grow` decide a bad base plus one triple by `_bad_extension`, from
 the base's aux masks with the triple's four arcs OR-ed in, so a candidate
-builds no Palette and no aux digraph.  The engines offer sorted triple lists
-to `_Best`, and no search loop calls `canonical_form`.  Reported optima are
+builds no Palette and no aux digraph.  The engines offer triple masks to
+`_Best`, which scores them in integers, and no search loop decodes a mask,
+builds a Fraction or calls `canonical_form`.  Reported optima are
 re-verified bad: by their star decision, then by a checked colouring of the
 aux digraph into k-1 arc-free classes, or, where greedy finds none, by the
 brute-force oracle within its cap.
@@ -20,16 +21,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .audit import minimality_check
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, _Budget
 from .digraphs import _arc_free_classes
-from .goodness import (DEFAULT_NODE_BUDGET, _Budget, _star_bad, _star_certificate,
+from .goodness import (DEFAULT_NODE_BUDGET, _star_bad, _star_certificate,
                        brute_force_is_good, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _aux_masks, _mask_triples,
-                      _orbit_sweep, _relabeled_masks, canonical_form, compute_stats,
-                      iter_all_triples, remove_color)
+                      _orbit_sweep, _relabeled_masks, canonical_form, iter_all_triples,
+                      remove_color)
 
 OBJECTIVES = ("density", "min_degree")
 MODES = ("exhaustive", "local")
@@ -82,34 +83,42 @@ class SearchReport:
     exhaustive_certificate: bool
 
 
-def _objective_fn(name: str, m: int) -> Callable[[list[Triple]], Fraction]:
-    if name == "density":
-        return lambda triples: Fraction(len(triples), m ** 3)
-    return lambda triples: compute_stats(Palette(m, frozenset(triples))).min_degree
+def _sorts_before(a: int, b: int) -> bool:
+    """Whether triple mask a sorts before b as a sorted triple list: at the top
+    bit where they differ, the mask holding it does (see `canonical_form`),
+    unless the other one has no bit below it and so is its proper prefix."""
+    h = 1 << (a ^ b).bit_length() >> 1  # 0 when a == b
+    return bool(b & h - 1) if a & h else bool(b & h) and not a & h - 1
 
 
 class _Best:
     """Incumbent: the greatest objective value, ties broken toward the
     lexicographically least sorted triple list, taken as offered.
 
-    The exhaustive sweep offers each class's canonical form, the least
-    sorted triple list among its relabelings, so it keeps the least optimal
-    palette overall.  Lists, not masks: min_degree ties palettes of
-    different sizes.
+    Palettes are offered as triple masks (triple t at bit `bit[t]`, see
+    `canonical_form`) and scored in integers over `den`: density counts the
+    triples over m^3, min_degree takes the least slice, the triples with
+    color a at position i, over m^2.  Ties go by `_sorts_before`, since
+    min_degree ties palettes of different sizes.  The exhaustive sweep offers
+    each class's canonical form, the least sorted triple list among its
+    relabelings, so it keeps the least optimal palette overall.
     """
 
-    def __init__(self, objective: Callable[[list[Triple]], Fraction]):
-        self.objective = objective
-        self.value: Optional[Fraction] = None
-        self.triples: Optional[list[Triple]] = None
+    def __init__(self, objective: str, m: int):
+        self.value, self.mask = -1, 0
+        self.bit = {t: 1 << m ** 3 - 1 - j for j, t in enumerate(iter_all_triples(m))}
+        if objective == "density":
+            self.score, self.den = int.bit_count, m ** 3
+        else:
+            slices = [sum(b for t, b in self.bit.items() if t[i] == a)
+                      for a in range(m) for i in range(3)]
+            self.score, self.den = (lambda key: min((key & s).bit_count() for s in slices)), m * m
 
-    def offer(self, triples: list[Triple]) -> None:
-        """Consider the palette with these triples, sorted lexicographically."""
-        value = self.objective(triples)
-        if (self.value is None or value > self.value
-                or (value == self.value and triples < self.triples)):
-            self.value = value
-            self.triples = triples
+    def offer(self, mask: int) -> None:
+        """Consider the palette with this triple mask."""
+        value = self.score(mask)
+        if value > self.value or (value == self.value and _sorts_before(mask, self.mask)):
+            self.value, self.mask = value, mask
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -121,8 +130,8 @@ def search(cfg: SearchConfig) -> SearchReport:
     local runs never do, and they spend their whole budget.
     """
     m = cfg.num_colors
-    best = _Best(_objective_fn(cfg.objective, m))
-    best.offer([])  # the empty palette is S_k-bad
+    best = _Best(cfg.objective, m)
+    best.offer(0)  # the empty palette is S_k-bad
     exhaustive = cfg.mode == "exhaustive"
     if not exhaustive:
         examined, bad_found = _search_local(cfg, best)
@@ -131,13 +140,13 @@ def search(cfg: SearchConfig) -> SearchReport:
         bad_found = len(sizes)
         if not cfg.dedup:  # count palettes: a bad class holds its orbit of relabelings
             examined, bad_found = 2 ** m ** 3, sum(sizes)
-    best_palette = Palette(m, frozenset(best.triples))
+    best_palette = Palette(m, frozenset(_mask_triples(m, best.mask)))
     if not exhaustive and m <= MAX_CANONICAL_COLORS:
         best_palette = canonical_form(best_palette)
     _verify_bad(best_palette, cfg.k, cfg.node_budget)
     return SearchReport(
         best_palette=best_palette,
-        best_objective=best.value,
+        best_objective=Fraction(best.value, best.den),
         num_candidates_examined=examined,
         num_bad_found=bad_found,
         exhaustive_certificate=exhaustive,
@@ -187,12 +196,11 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
 
     images = [_relabeled_masks(m, [t]) for t in loop_free]
     for key, masks, _ in _orbit_sweep(images, len(loops), [0] * (2 * m), accept):
-        triples = _mask_triples(m, key)
-        _Budget(cfg.node_budget).spend(len(triples) + 1)
+        _Budget(cfg.node_budget).spend(key.bit_count() + 1)
         stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
         examined += sum(stabilizer) // len(stabilizer)
         sizes.append(len(set(masks)))
-        best.offer(triples)
+        best.offer(key)
     return examined, sizes
 
 
@@ -253,7 +261,7 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
         grown = _grow(empty, order, cfg.k, cfg.node_budget)
         examined += len(order)
         bad_found += len(grown.triples)
-        best.offer(grown.sorted_triples())
+        best.offer(sum(map(best.bit.__getitem__, grown.triples)))
     return examined, bad_found
 
 

@@ -20,6 +20,8 @@ from starpal import (AuxPolicy, BudgetExceeded, Digraph, Palette, PolicyData, XS
 from starpal.audit import GEntry
 from starpal.cli import main
 from starpal.digraphs import _find_tk
+from starpal.errors import _Budget
+from starpal.goodness import DEFAULT_NODE_BUDGET
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -215,12 +217,13 @@ def _arc_reference(p, policy, k):
 
 def _audit_charge(p, k):
     """|P| plus the nodes of the audit's four T_k searches (D1, D2, then D under
-    each rule set), counted by a counting spend on digraphs rebuilt from arcs."""
-    spent = [len(p.triples)]
+    each rule set), counted by one budget on digraphs rebuilt from arcs."""
+    budget = _Budget(DEFAULT_NODE_BUDGET)
+    budget.spend(len(p.triples))
     literal, block1, block2 = _arc_digraphs(p, AuxPolicy.LITERAL)
     for d in (block1, block2, literal, _arc_digraphs(p, AuxPolicy.OBSERVATION)[0]):
-        _find_tk(d.out, k, spent.append)
-    return sum(spent)
+        _find_tk(d.out, k, budget)
+    return budget.spent
 
 
 def test_audit_budget_bounds_every_tk_search():

@@ -200,9 +200,9 @@ def test_verify_rows_search_each_class_for_a_tk_once(monkeypatch):
     calls = []
     find_tk = starpal.digraphs._find_tk
 
-    def counting(out, k, spend=None):
+    def counting(out, k, budget=None):
         calls.append(k)
-        return find_tk(out, k, spend)
+        return find_tk(out, k, budget)
 
     monkeypatch.setattr(starpal.digraphs, "_find_tk", counting)
     for n in range(1, 5):
@@ -561,6 +561,18 @@ def test_usage_error_exits_2(bad_file, tmp_path):
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_header_count_past_the_index_range_exits_2(tmp_path, capsys):
+    # 10^20 does not fit an index, so sizing the per-color rows raises
+    # OverflowError, not MemoryError.
+    pal, dg = tmp_path / "huge.pal", tmp_path / "huge.dg"
+    pal.write_text("palette 99999999999999999999\n")
+    dg.write_text("digraph 99999999999999999999\n")
+    for argv in (("stats", pal), ("check", pal, "--star", "3"), ("aux", pal),
+                 ("audit", pal, "--star", "5"), ("tk-find", dg, "--k", "3")):
+        assert main([str(arg) for arg in argv]) == 2, argv
+        assert capsys.readouterr() == ("", "error: input too large\n"), argv
 
 
 def test_audit_kv_and_json_are_exclusive(bad_file):

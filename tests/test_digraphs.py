@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import starpal.digraphs
-from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
+from starpal import (AuxPolicy, BudgetExceeded, Digraph, EnumerationCapExceeded, FormatError,
                      Palette, admissible_pairs, audit_chain, aux_digraph,
                      brute_max_arcs, caro_wei_check, degree_stats,
                      find_transitive_tournament, has_loop, is_tk_free, iter_all_triples,
@@ -17,6 +17,7 @@ from starpal import (AuxPolicy, Digraph, EnumerationCapExceeded, FormatError,
                      turan_max_arcs)
 from starpal.digraphs import (_arc_free_classes, _find_tk, _is_arc_free_colouring,
                               _tk_free_classes)
+from starpal.errors import _Budget
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -243,6 +244,70 @@ def test_loops_do_not_create_tournaments():
     assert is_tk_free(d, 3)
 
 
+def _per_node_find_tk(out, k, spend):
+    """The ordered DFS with spend(1) called at every search node, the charging
+    rule `_find_tk` keeps while counting its nodes locally; the charge oracle."""
+    n = len(out)
+    if k > n:
+        return None
+    prefix, cands, untried = [0] * k, [0] * k, [0] * k
+    depth, cand = 0, (1 << n) - 1
+    while True:
+        spend(1)
+        if depth == k:
+            return tuple(prefix)
+        if cand.bit_count() >= k - depth:
+            cands[depth] = untried[depth] = cand
+        else:
+            depth -= 1
+        while depth >= 0 and not untried[depth]:
+            depth -= 1
+        if depth < 0:
+            return None
+        rest = untried[depth]
+        low = rest & -rest
+        untried[depth] = rest ^ low
+        prefix[depth] = v = low.bit_length() - 1
+        cand = cands[depth] & out[v] & ~low
+        depth += 1
+
+
+def _charged(find, out, k, limit, spent):
+    """find's answer, or its BudgetExceeded message, and what a budget of
+    limit + spent with spent already charged holds afterwards."""
+    budget = _Budget(limit + spent)
+    budget.spend(spent)
+    try:
+        return find(out, k, budget), budget.spent
+    except BudgetExceeded as exc:
+        return str(exc), budget.spent
+
+
+def test_find_tk_charges_as_the_per_node_search():
+    def oracle(out, k, budget):
+        return _per_node_find_tk(out, k, budget.spend)
+
+    rng = random.Random(31)
+    random_outs = [tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))
+                   for n in (rng.randint(1, 10) for _ in range(300))]
+    outs = itertools.chain((out for n in range(4)
+                            for out in itertools.product(range(1 << n), repeat=n)),
+                           (d.out for d in iter_loopless_digraphs(4)), random_outs)
+    refused = 0
+    for out in outs:
+        for k in range(len(out) + 2):
+            nodes = []
+            found = _per_node_find_tk(out, k, nodes.append)
+            assert _find_tk(out, k) == found, (out, k)
+            assert _charged(_find_tk, out, k, len(nodes) + 1, 0) == (found, len(nodes))
+            for limit in range(1, len(nodes) + 2):
+                for spent in (0, 3):
+                    expected = _charged(oracle, out, k, limit, spent)
+                    assert _charged(_find_tk, out, k, limit, spent) == expected, (out, k, limit)
+                    refused += isinstance(expected[0], str)
+    assert refused
+
+
 def test_turan_max_arcs_values():
     assert turan_max_arcs(3, 3) == 4
     assert turan_max_arcs(4, 3) == 8
@@ -293,9 +358,9 @@ def test_brute_max_arcs_extends_only_tk_free_arc_sets(monkeypatch):
     # The descending scan made 156,410 T_3 searches at n = 5.
     calls = []
 
-    def counting(out, k, spend=None):
+    def counting(out, k, budget=None):
         calls.append(k)
-        return _find_tk(out, k, spend)
+        return _find_tk(out, k, budget)
 
     monkeypatch.setattr("starpal.digraphs._find_tk", counting)
     monkeypatch.setattr("starpal.digraphs.turan_max_arcs", None)
@@ -633,9 +698,9 @@ def find_tk_calls(monkeypatch):
     """The k of every `_find_tk` call made through `starpal.digraphs`."""
     calls = []
 
-    def counting(out, k, spend=None):
+    def counting(out, k, budget=None):
         calls.append(k)
-        return _find_tk(out, k, spend)
+        return _find_tk(out, k, budget)
 
     monkeypatch.setattr(starpal.digraphs, "_find_tk", counting)
     return calls

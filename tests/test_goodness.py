@@ -312,10 +312,10 @@ def test_star_certificate_checks_the_tk_it_returns(monkeypatch):
     p = Palette(2, [(0, 1, 0), (1, 0, 1)])
     star = make_star(2)
     assert not is_bad(p, star)
-    monkeypatch.setattr(starpal.goodness, "_find_tk", lambda out, k, spend=None: (0, 3))
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(starpal.goodness, "_find_tk", lambda out, k, budget=None: (0, 3))
+    with pytest.raises(RuntimeError, match="T_k certificate"):
         is_bad(p, star)
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="T_k certificate"):
         is_good(p, star)
 
 

@@ -12,9 +12,10 @@ from starpal import (AuxPolicy, BudgetExceeded, Palette, SearchConfig, aux_digra
                      random_bad_palette, random_maximal_bad_palette, search)
 from starpal.digraphs import (_arc_free_classes, _aux_masks, _find_tk,
                               find_transitive_tournament, tripartite_construction)
-from starpal.palette import permute_colors
+from starpal.errors import _Budget
 from starpal.goodness import DEFAULT_NODE_BUDGET
-from starpal.search import OBJECTIVES, _bad_extension, _grow, _verify_bad
+from starpal.palette import _mask_triples, permute_colors
+from starpal.search import OBJECTIVES, _Best, _bad_extension, _grow, _sorts_before, _verify_bad
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -352,6 +353,51 @@ def test_exhaustive_three_colors_deduped_min_degree():
     assert report.best_palette == _palette(3, "010 012 101 121 210")
 
 
+@pytest.mark.parametrize("k, examined, bad, words", [
+    (4, 4623, 287, "010 012 020 101 120 121 201 202 212"),
+    (5, 9688, 626, "010 012 020 021 101 102 121 202 210 212"),
+    (6, 10923, 713, "010 012 020 021 101 102 120 121 201 202 212")])
+def test_exhaustive_three_colors_deduped_min_degree_pinned(k, examined, bad, words):
+    report = search(SearchConfig(k=k, num_colors=3, objective="min_degree", dedup=True,
+                                 allow_large_exhaustive=True))
+    assert report.best_objective == Fraction(1, 3)
+    assert (report.num_candidates_examined, report.num_bad_found) == (examined, bad)
+    assert report.best_palette == _palette(3, words)
+
+
+def test_mask_tie_rule_matches_sorted_list_order():
+    # Every pair of masks with m <= 2, then random 3-colour pairs, a third of
+    # them a mask against one of its prefixes (its highest bits kept).
+    pairs = [(1, a, b) for a in range(2) for b in range(2)]
+    pairs += [(2, a, b) for a in range(256) for b in range(256)]
+    rng = random.Random(8)
+    for _ in range(5000):
+        a = rng.getrandbits(27)
+        b = a & -(1 << rng.randrange(28)) if rng.random() < 1 / 3 else rng.getrandbits(27)
+        pairs += [(3, a, b), (3, b, a)]
+    lists = {}
+    for m, a, b in pairs:
+        la, lb = (lists.setdefault((m, x), _mask_triples(m, x)) for x in (a, b))
+        assert _sorts_before(a, b) == (la < lb), (m, a, b)
+    assert any(_sorts_before(a, b) and a & b == a != b for _, a, b in pairs)
+
+
+def test_mask_objectives_match_palette_stats():
+    # Bad palettes are loop-free (a triple (x, x, z) or (x, y, y) is a loop of
+    # the aux digraph), so every subset of the loop-free triples covers them all.
+    for m in (1, 2, 3):
+        loop_free = [t for t in iter_all_triples(m) if t[0] != t[1] != t[2]]
+        density, min_degree = _Best("density", m), _Best("min_degree", m)
+        assert (density.den, min_degree.den) == (m ** 3, m * m)
+        for bits in range(1 << len(loop_free)):
+            p = Palette(m, [t for i, t in enumerate(loop_free) if bits >> i & 1])
+            mask = sum(1 << m ** 3 - 1 - (a * m + b) * m - c for a, b, c in p.triples)
+            assert _mask_triples(m, mask) == p.sorted_triples()
+            assert sum(map(density.bit.__getitem__, p.triples)) == mask
+            assert Fraction(density.score(mask), density.den) == p.density
+            assert Fraction(min_degree.score(mask), min_degree.den) == compute_stats(p).min_degree
+
+
 def test_exhaustive_two_colors_deduped_counts():
     report = search(SearchConfig(k=3, num_colors=2, objective="density",
                                  mode="exhaustive", dedup=True))
@@ -415,7 +461,7 @@ def test_exhaustive_best_is_least_optimal_canonical_form(m, objective):
     universe = list(iter_all_triples(m))
     subsets = [Palette(m, [t for i, t in enumerate(universe) if bits >> i & 1])
                for bits in range(1 << len(universe))]
-    for k in range(2, 8):
+    for k in range(2, 9):
         star = make_star(k)
         bad = [p for p in subsets if is_bad(p, star)]
         top = max(map(value, bad))
@@ -453,7 +499,7 @@ def _reference_class_sweep(m, k):
     return examined, bad
 
 
-@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3) for k in range(2, 6)])
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2, 3) for k in range(2, 9)])
 def test_class_sweep_matches_reference_sweep(m, k):
     examined, bad = _reference_class_sweep(m, k)
     for objective in OBJECTIVES:
@@ -489,10 +535,10 @@ def _charge(p, k):
     """What is_bad(p, S_k) charges: |P|, plus one per T_k search node when the
     LITERAL aux digraph has no loop."""
     d = aux_digraph(p, AuxPolicy.LITERAL)
-    nodes = []
+    budget = _Budget(DEFAULT_NODE_BUDGET)
     if has_loop(d) is None:
-        _find_tk(d.out, k, nodes.append)
-    return len(p.triples) + len(nodes)
+        _find_tk(d.out, k, budget)
+    return len(p.triples) + budget.spent
 
 
 def _decided(decide, budget):
