@@ -157,6 +157,13 @@ def verify_witness(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> bool:
     return True
 
 
+def _checked(p: Palette, f: ThreeGraph, w: GoodnessWitness) -> GoodnessWitness:
+    """w once `verify_witness` accepts it; a raise, not an assert, so it holds under -O."""
+    if not verify_witness(p, f, w):
+        raise RuntimeError("internal error: witness fails its check")
+    return w
+
+
 def is_good(p: Palette, f: ThreeGraph, *,
             node_budget: int = DEFAULT_NODE_BUDGET) -> Optional[GoodnessWitness]:
     """Decide goodness of p for f; return a verified witness or None (bad).
@@ -177,18 +184,14 @@ def is_good(p: Palette, f: ThreeGraph, *,
     if apex is not None:
         verts = _star_certificate(_aux_masks(p.num_colors, p.triples), len(p.triples),
                                   f.num_vertices - 1, budget)
-        w = None if verts is None else _star_witness(p, f, apex, verts)
-        assert w is None or verify_witness(p, f, w)
-        return w
+        return None if verts is None else _checked(p, f, _star_witness(p, f, apex, verts))
     if not p.triples:  # bad under every ordering: skip the n! sweep
         return None
     triples = p.sorted_triples()
     for ordering in itertools.permutations(range(f.num_vertices)):
         coloring = _solve_ordering(p, f, ordering, triples, budget)
         if coloring is not None:
-            w = GoodnessWitness(ordering, coloring)
-            assert verify_witness(p, f, w)
-            return w
+            return _checked(p, f, GoodnessWitness(ordering, coloring))
     return None
 
 
@@ -376,7 +379,5 @@ def brute_force_is_good(p: Palette, f: ThreeGraph) -> Optional[GoodnessWitness]:
             cons.append((pidx[_key(u, v)], pidx[_key(u, x)], pidx[_key(v, x)]))
         for coloring in itertools.product(range(m), repeat=q):
             if all((coloring[a], coloring[b], coloring[c]) in tset for (a, b, c) in cons):
-                w = GoodnessWitness(ordering, dict(zip(pairs, coloring)))
-                assert verify_witness(p, f, w)
-                return w
+                return _checked(p, f, GoodnessWitness(ordering, dict(zip(pairs, coloring))))
     return None

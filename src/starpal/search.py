@@ -7,7 +7,8 @@ without it; the local engine restarts randomized greedy growth.  Every
 maximal bad palette is grown by `_grow`, one pass over a triple order.  The
 sweep and `_grow` decide a bad base plus one triple by `_bad_extension`, from
 the base's aux masks with the triple's four arcs OR-ed in, so a candidate
-builds no Palette and no aux digraph.  The engines offer triple masks to
+builds no Palette and no aux digraph; one that adds no arc runs no T_k
+search and is charged the base's node count.  The engines offer triple masks to
 `_Best`, which scores them in integers, and no search loop decodes a mask,
 builds a Fraction or calls `canonical_form`.  Reported optima are
 re-verified bad: by their star decision, then by a checked colouring of the
@@ -38,6 +39,9 @@ MODES = ("exhaustive", "local")
 # Exhaustive mode takes up to 2 colors, or 3 with dedup behind an explicit
 # override; the class sweep's cost follows the number of bad classes, not 2^(m^3).
 MAX_PLAIN_EXHAUSTIVE_COLORS = 2
+
+# A palette's LITERAL aux masks and, if bad, its T_k search node count, else None.
+_Base = tuple[Sequence[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ def _verify_bad(p: Palette, k: int, node_budget: int) -> None:
 
 def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
     """`_orbit_sweep` of the bad palettes over the loop-free triples, one
-    canonical palette per relabeling class, each carrying its aux masks.
+    canonical palette per relabeling class, each carrying its `_Base`.
 
     An extension is accepted when `_bad_extension` finds it bad.  Bases and
     triples ascend, so a class is first reached as its canonical form (an
@@ -189,13 +193,13 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
     loop_free = [t for t in iter_all_triples(m) if t[0] != t[1] != t[2]]
     examined, sizes = 1, []  # the empty palette is bad
 
-    def accept(out: list[int], i: int, key: int) -> Optional[list[int]]:
+    def accept(base: _Base, i: int, key: int) -> Optional[_Base]:
         nonlocal examined
         examined += 1
-        return _bad_extension(out, key.bit_count() - 1, loop_free[i], cfg.k, cfg.node_budget)
+        return _bad_extension(base, key.bit_count() - 1, loop_free[i], cfg.k, cfg.node_budget)
 
     images = [_relabeled_masks(m, [t]) for t in loop_free]
-    for key, masks, _ in _orbit_sweep(images, len(loops), [0] * (2 * m), accept):
+    for key, masks, _ in _orbit_sweep(images, len(loops), ([0] * (2 * m), None), accept):
         _Budget(cfg.node_budget).spend(key.bit_count() + 1)
         stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
         examined += sum(stabilizer) // len(stabilizer)
@@ -204,24 +208,34 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
     return examined, sizes
 
 
-def _bad_extension(out: Sequence[int], size: int, t: Triple, k: int,
-                   node_budget: int) -> Optional[list[int]]:
-    """The aux masks of base + t when that palette is S_k-bad, else None.
+def _bad_extension(base: _Base, size: int, t: Triple, k: int,
+                   node_budget: int) -> Optional[_Base]:
+    """The `_Base` of base + t when that palette is S_k-bad, else None.
 
-    out holds the LITERAL aux masks of a base of `size` triples and t is
-    absent from it.  The verdict and its charge (a fresh budget, |base| + 1
-    and one per T_k node) are those of `is_bad` on base + t and S_k.
-    A triple (x, x, z) or (x, y, y) gives the loop m+x -> m+y or y -> z, so
-    it is rejected after the |base| + 1 charge alone, with no masks built.
-    node_budget must be positive.
+    base is a palette of `size` triples without t.  The verdict and its
+    charge (a fresh budget, |base| + 1 and one per T_k node) are those of
+    `is_bad` on base + t and S_k.  A triple (x, x, z) or (x, y, y) gives the
+    loop m+x -> m+y or y -> z, so it is rejected after the |base| + 1 charge
+    alone, with no masks built.  A covered t, whose arcs y -> z, m+x -> m+y
+    and x -> m+z (added with m+z -> x) a bad base has, leaves its masks and
+    T_k search as they were: base is returned, charged the nodes up to where
+    that search stops, and no search runs.  node_budget must be positive.
     """
     x, y, z = t
+    budget = _Budget(node_budget)
     if x == y or y == z:
-        _Budget(node_budget).spend(size + 1)
+        budget.spend(size + 1)
         return None
-    trial = _aux_masks(len(out) // 2, [t], out=out)
-    if _star_certificate(trial, size + 1, k, _Budget(node_budget)) is None:
-        return trial
+    out, nodes = base
+    m = len(out) // 2
+    if (out[y] >> z & 1 and out[m + x] >> m + y & 1 and out[x] >> m + z & 1
+            and nodes is not None):
+        budget.spend(size + 1)
+        budget.spend(min(nodes, budget.limit - budget.spent + 1))
+        return base
+    trial = _aux_masks(m, [t], out=out)
+    if _star_certificate(trial, size + 1, k, budget) is None:
+        return trial, budget.spent - size - 1
     return None
 
 
@@ -232,13 +246,13 @@ def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Pale
     triple stays rejected (supersets of good palettes are good).
     """
     triples = set(p.triples)
-    out = _aux_masks(p.num_colors, triples)
+    base = _aux_masks(p.num_colors, triples), None
     for t in order:
         if t not in triples:
-            trial = _bad_extension(out, len(triples), t, k, node_budget)
+            trial = _bad_extension(base, len(triples), t, k, node_budget)
             if trial is not None:
                 triples.add(t)
-                out = trial
+                base = trial
     return Palette(p.num_colors, frozenset(triples))
 
 
@@ -270,7 +284,7 @@ def minimalize(p: Palette, k: int) -> Palette:
 
     Each pass removes the color `minimality_check` returns.  Badness is
     preserved under color removal (any witness for the smaller palette lifts
-    to the larger one); each removal asserts it as a cross-check.  Returns
+    to the larger one); each removal checks it, raising RuntimeError.  Returns
     the minimal palette it ends at; raises ValueError when p is not S_k-bad.
     """
     if not _star_bad(p, k):
@@ -278,7 +292,8 @@ def minimalize(p: Palette, k: int) -> Palette:
     current = p
     while (a := minimality_check(current)) is not None:
         current = remove_color(current, a)
-        assert _star_bad(current, k)
+        if not _star_bad(current, k):
+            raise RuntimeError("internal error: colour removal made the palette good")
     return current
 
 

@@ -422,6 +422,29 @@ def test_search_budget_exhaustion_at_k3(capsys):
     assert main([*argv, "40"]) == 0
 
 
+# Local search at m = k-1, where a triple adding no aux arc is decided
+# without a T_k search; the exhausting decision at budget 500 is one of them.
+@pytest.mark.parametrize("argv, spent, budget", [
+    (("--star", "5", "--colors", "4", "--iterations", "120"), 247, 246),
+    (("--star", "6", "--colors", "5", "--iterations", "300"), 995, 994),
+    (("--star", "6", "--colors", "5", "--iterations", "300"), 501, 500)])
+def test_local_search_budget_exhaustion_is_pinned(capsys, argv, spent, budget):
+    assert main(["search", *argv, "--mode", "local", "--seed", "0",
+                 "--node-budget", str(budget)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: node budget exhausted ({spent} checks, budget {budget})\n")
+
+
+def test_local_search_at_k_minus_one_colours_is_pinned(monkeypatch, capsys):
+    # `search --mode local` for (k, m) = (5, 4), (6, 5), (7, 6), seeds 0 and 1,
+    # 300 iterations, each objective in turn.
+    runs = [("", ["search", "--star", str(k), "--colors", str(k - 1), "--mode", "local",
+                  "--seed", str(seed), "--iterations", "300", "--objective", objective])
+            for k in (5, 6, 7) for seed in (0, 1) for objective in ("density", "min-degree")]
+    _digests(starpal.cli.build_parser(), monkeypatch, capsys, "search-local-m-k1.sha256", runs,
+             {"text": [], "json": ["--json"]})
+
+
 def test_search_local_above_canonical_colors():
     # Nine colors is past canonical_form's reach; the report is a representative.
     proc = run("search", "--star", "4", "--colors", "9", "--mode", "local",

@@ -395,3 +395,19 @@ def test_verify_witness_matches_reference():
         verdicts.add(expected)
     assert len(orders_seen) == 6
     assert verdicts == {True, False}
+
+
+def test_wrong_witnesses_raise(monkeypatch):
+    # Each witness is checked by a raise, not an assert, so python -O keeps it.
+    message = "^internal error: witness fails its check$"
+    def all_zero(p, f, apex, verts):
+        return GoodnessWitness(tuple(range(f.num_vertices)), dict.fromkeys(f.relevant_pairs(), 0))
+
+    monkeypatch.setattr(starpal.goodness, "_star_witness", all_zero)
+    with pytest.raises(RuntimeError, match=message):
+        is_good(Palette(2, [(0, 1, 0), (1, 0, 1)]), make_star(2))
+    monkeypatch.setattr(starpal.goodness, "verify_witness", lambda p, f, w: False)
+    path = ThreeGraph(4, [(0, 1, 2), (1, 2, 3)])  # no star: the ordering sweep decides it
+    for decide in (is_good, brute_force_is_good):
+        with pytest.raises(RuntimeError, match=message):
+            decide(Palette.full(2), path)

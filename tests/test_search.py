@@ -321,6 +321,16 @@ def test_minimalize_and_growth_build_no_star(monkeypatch):
         minimalize(Palette.full(2), 1000)
 
 
+def test_minimalize_raises_when_a_removal_leaves_the_palette_good(monkeypatch):
+    # The check is a raise, not an assert, so python -O keeps it.
+    verdicts = iter([True, False])
+    monkeypatch.setattr(importlib.import_module("starpal.search"), "_star_bad",
+                        lambda p, k: next(verdicts))
+    message = "^internal error: colour removal made the palette good$"
+    with pytest.raises(RuntimeError, match=message):
+        minimalize(Palette(3, [(0, 1, 0), (1, 0, 1)]), 5)
+
+
 def test_random_bad_palettes_are_bad():
     star = make_star(3)
     for seed in range(6):
@@ -553,22 +563,27 @@ def _assert_extension_matches_is_bad(base, t, k):
     grown = Palette(base.num_colors, base.triples | {t})
     out = _aux_masks(base.num_colors, base.triples)
     star = make_star(k)
-
-    def by_masks(budget):
-        return _bad_extension(out, len(base.triples), t, k, budget) is not None
+    size = len(base.triples)
+    # The decision without the base's node count, and with it when the base is bad.
+    counts = {None, _charge(base, k) - size} if is_bad(base, star) else {None}
 
     def by_palette(budget):
         return is_bad(grown, star, node_budget=budget)
 
     need = _charge(grown, k)
     bad = by_palette(need)
-    assert (_bad_extension(out, len(base.triples), t, k, need)
-            == (_aux_masks(grown.num_colors, grown.triples) if bad else None))
-    for budget in {1, len(base.triples), len(base.triples) + 1, need - 1}:
-        if budget >= 1:
-            assert _decided(by_masks, budget) == _decided(by_palette, budget)
-    if need > 1:
-        assert isinstance(_decided(by_masks, need - 1), str)
+    for nodes in counts:
+        def by_masks(budget):
+            return _bad_extension((out, nodes), size, t, k, budget) is not None
+
+        assert (_bad_extension((out, nodes), size, t, k, need)
+                == ((_aux_masks(grown.num_colors, grown.triples), need - size - 1)
+                    if bad else None))
+        for budget in {1, size, size + 1, need - 1}:
+            if budget >= 1:
+                assert _decided(by_masks, budget) == _decided(by_palette, budget)
+        if need > 1:
+            assert isinstance(_decided(by_masks, need - 1), str)
     return bad
 
 
@@ -628,3 +643,61 @@ def test_grow_matches_reference_grower():
                     order = order[:rng.randrange(1, len(order) + 1)]
                     assert (_grow(start, order, k, DEFAULT_NODE_BUDGET)
                             == _reference_grow(start, order, k))
+
+
+def _assert_covered_rule_is_the_arc_test(p, rng):
+    """`_bad_extension` takes a triple as covered, returning the base's own
+    masks and node count unsearched, exactly when the triple adds no aux arc."""
+    out = _aux_masks(p.num_colors, p.triples)
+    nodes = rng.randrange(100)
+    for t in iter_all_triples(p.num_colors):
+        if t[0] != t[1] != t[2]:
+            found = _bad_extension((out, nodes), len(p.triples), t, 4, DEFAULT_NODE_BUDGET)
+            covered = found is not None and found[0] is out
+            assert covered == (_aux_masks(p.num_colors, [t], out=out) == out)
+            assert not covered or found[1] == nodes
+
+
+def test_covered_rule_is_the_arc_test():
+    rng = random.Random(32)
+    for m in (1, 2):
+        universe = list(iter_all_triples(m))
+        for bits in range(1 << len(universe)):
+            _assert_covered_rule_is_the_arc_test(
+                Palette(m, [t for i, t in enumerate(universe) if bits >> i & 1]), rng)
+    for m in (3, 4, 5):
+        universe = list(iter_all_triples(m))
+        for _ in range(40):
+            _assert_covered_rule_is_the_arc_test(
+                Palette(m, rng.sample(universe, rng.randrange(len(universe) // 2))), rng)
+
+
+def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
+    goodness = importlib.import_module("starpal.goodness")
+    searched = []
+
+    def counting(out, k, budget=None):
+        searched.append(list(out))
+        return _find_tk(out, k, budget)
+
+    monkeypatch.setattr(goodness, "_find_tk", counting)
+    # (2,1,0), (0,1,2) and (0,2,0) give (0,1,0)'s arcs 1 -> 0, 3 -> 4 and 0 -> 3.
+    base = [(2, 1, 0), (0, 1, 2), (0, 2, 0)]
+    grown = _grow(Palette.empty(3), [*base, (0, 1, 0)], 4, DEFAULT_NODE_BUDGET)
+    assert grown == Palette(3, [*base, (0, 1, 0)])
+    assert len(searched) == 3
+    # On a seeded pass, one search per loop-free decision that adds an arc.
+    universe = list(iter_all_triples(5))
+    random.Random(4).shuffle(universe)
+    p, expected, covered = Palette.empty(5), 0, 0
+    for t in universe:
+        if t[0] != t[1] != t[2] and t not in p.triples:
+            adds = _aux_masks(5, p.triples | {t}) != _aux_masks(5, p.triples)
+            expected += adds
+            covered += not adds
+            if is_bad(Palette(5, p.triples | {t}), make_star(6)):
+                p = Palette(5, p.triples | {t})
+    assert covered > 0
+    searched.clear()
+    assert _grow(Palette.empty(5), universe, 6, DEFAULT_NODE_BUDGET) == p
+    assert len(searched) == expected
