@@ -213,7 +213,7 @@ def audit_chain(p: Palette, k: int, *,
     budget = _Budget(node_budget)
     n = p.num_colors
     stats = compute_stats(p)
-    t = p.num_triples
+    t = len(p.triples)
     budget.spend(t)
     delta_ok = 4 * min(map(min, stats.slice_counts)) >= n * n
     out = _aux_masks(n, p.triples)

@@ -22,7 +22,7 @@ from .digraphs import (AuxPolicy, _arc_positions, _caro_wei_sums, _tk_free_class
                        _tk_square_sums, aux_digraph, brute_max_arcs,
                        find_transitive_tournament, parse_digraph, serialize_digraph,
                        tripartite_report, turan_max_arcs)
-from .errors import BudgetExceeded, EnumerationCapExceeded, FormatError
+from .errors import BudgetExceeded, EnumerationCapExceeded
 from .goodness import DEFAULT_NODE_BUDGET, _star_bad, is_good, make_star, parse_threegraph
 from .palette import POSITION_PAIRS, compute_stats, parse_palette, serialize_palette
 from .search import SearchConfig, search
@@ -53,7 +53,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _fr(x: Fraction, args: argparse.Namespace) -> str:
-    if getattr(args, "float", False):
+    if args.float:
         return f"{x} ({float(x):.10g})"
     return str(x)
 
@@ -69,7 +69,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         return _emit_json({
             "colors": st.num_colors,
-            "triples": p.num_triples,
+            "triples": len(p.triples),
             "density": str(p.density),
             "min_degree": str(st.min_degree),
             "slices": [list(row) for row in st.slice_counts],
@@ -78,7 +78,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             },
         })
     print(f"colors {st.num_colors}")
-    print(f"triples {p.num_triples}")
+    print(f"triples {len(p.triples)}")
     print(f"density {_fr(p.density, args)}")
     print(f"min_degree {_fr(st.min_degree, args)}")
     for a in range(st.num_colors):
@@ -425,9 +425,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BudgetExceeded, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -49,18 +49,6 @@ class Palette:
                 raise ValueError(f"triple {t} out of range for {m} colors")
         object.__setattr__(self, "triples", triples)
 
-    @classmethod
-    def empty(cls, num_colors: int) -> "Palette":
-        return cls(num_colors, frozenset())
-
-    @classmethod
-    def full(cls, num_colors: int) -> "Palette":
-        return cls(num_colors, frozenset(iter_all_triples(num_colors)))
-
-    @property
-    def num_triples(self) -> int:
-        return len(self.triples)
-
     @property
     def density(self) -> Fraction:
         """|A| / m^3 as an exact rational."""

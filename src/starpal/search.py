@@ -161,10 +161,9 @@ def _verify_bad(p: Palette, k: int, node_budget: int) -> None:
     """Raise RuntimeError unless p is S_k-bad by its star decision and by an
     independent check: k-1 arc-free classes of its aux digraph, else (first
     fit needs at most 2m classes, so only at k <= 2m) the brute-force oracle."""
-    out = _aux_masks(p.num_colors, p.triples)
-    if _star_certificate(out, len(p.triples), k, _Budget(node_budget)) is not None:
+    if not _star_bad(p, k, node_budget):
         raise RuntimeError("internal error: reported optimum is not bad")
-    if _arc_free_classes(out, k) is not None:
+    if _arc_free_classes(_aux_masks(p.num_colors, p.triples), k) is not None:
         return
     try:
         oracle = brute_force_is_good(p, make_star(k))
@@ -216,10 +215,10 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
     charge (a fresh budget, |base| + 1 and one per T_k node) are those of
     `is_bad` on base + t and S_k.  A triple (x, x, z) or (x, y, y) gives the
     loop m+x -> m+y or y -> z, so it is rejected after the |base| + 1 charge
-    alone, with no masks built.  A covered t, whose arcs y -> z, m+x -> m+y
-    and x -> m+z (added with m+z -> x) a bad base has, leaves its masks and
-    T_k search as they were: base is returned, charged the nodes up to where
-    that search stops, and no search runs.  node_budget must be positive.
+    alone, with no masks built.  A covered t adds no aux arc: its trial masks
+    equal a bad base's, so the T_k search is as it was.  base is returned,
+    charged the nodes up to where that search stops, and no search runs.
+    node_budget must be positive.
     """
     x, y, z = t
     budget = _Budget(node_budget)
@@ -227,13 +226,11 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
         budget.spend(size + 1)
         return None
     out, nodes = base
-    m = len(out) // 2
-    if (out[y] >> z & 1 and out[m + x] >> m + y & 1 and out[x] >> m + z & 1
-            and nodes is not None):
+    trial = _aux_masks(len(out) // 2, [t], out=out)
+    if trial == out and nodes is not None:
         budget.spend(size + 1)
         budget.spend(min(nodes, budget.limit - budget.spent + 1))
         return base
-    trial = _aux_masks(m, [t], out=out)
     if _star_certificate(trial, size + 1, k, budget) is None:
         return trial, budget.spent - size - 1
     return None
@@ -266,7 +263,7 @@ def _search_local(cfg: SearchConfig, best: _Best) -> tuple[int, int]:
     """
     rng = random.Random(cfg.seed)
     universe = list(iter_all_triples(cfg.num_colors))
-    empty = Palette.empty(cfg.num_colors)
+    empty = Palette(cfg.num_colors)
     examined, bad_found = 0, 1
     while examined < cfg.iteration_budget:
         order = universe.copy()
@@ -301,7 +298,7 @@ def random_maximal_bad_palette(k: int, num_colors: int, rng: random.Random) -> P
     """Grow the empty palette by shuffled insertions until maximal bad."""
     triples = list(iter_all_triples(num_colors))
     rng.shuffle(triples)
-    return _grow(Palette.empty(num_colors), triples, k, DEFAULT_NODE_BUDGET)
+    return _grow(Palette(num_colors), triples, k, DEFAULT_NODE_BUDGET)
 
 
 def random_bad_palette(k: int, num_colors: int, rng: random.Random) -> Palette:

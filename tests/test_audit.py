@@ -56,7 +56,7 @@ def test_x_sets_single_triple():
 
 
 def test_x_sets_empty_palette():
-    counts = x_sets(Palette.empty(2))
+    counts = x_sets(Palette(2))
     assert (counts.x1, counts.x2, counts.x3) == (8, 8, 8)
     assert (counts.x12, counts.x13, counts.x23) == (8, 8, 8)
     assert counts.union == 8
@@ -108,7 +108,7 @@ def test_inclusion_exclusion_matches_f_sum(p):
 def test_union_bounds(p):
     n = p.num_colors
     counts = x_sets(p)
-    assert p.num_triples <= n ** 3 - counts.union
+    assert len(p.triples) <= n ** 3 - counts.union
     assert counts.union <= counts.x1 + counts.x2 + counts.x3
 
 
@@ -168,7 +168,7 @@ def test_audit_builds_aux_masks_twice_and_no_digraph(monkeypatch):
 
     monkeypatch.setattr(Digraph, "from_masks", classmethod(counting_from_masks))
     rng = random.Random(5)
-    for p in (OPTIMUM, Palette.full(2), Palette.empty(3),
+    for p in (OPTIMUM, Palette(2, iter_all_triples(2)), Palette(3),
               Palette(4, [t for t in iter_all_triples(4) if rng.random() < 0.5])):
         calls.clear()
         audit_chain(p, 5)
@@ -233,8 +233,8 @@ def test_audit_budget_bounds_every_tk_search():
     p4, p5, p6 = ([(a, b, c) for (a, b, c) in iter_all_triples(m)
                    if a != b and b != c and c != (a + 1) % m] for m in (3, 4, 5))
     rng = random.Random(3)
-    palettes = [OPTIMUM, Palette(3, p4), Palette(4, p5), Palette(5, p6), Palette.full(2),
-                Palette.empty(3)]
+    palettes = [OPTIMUM, Palette(3, p4), Palette(4, p5), Palette(5, p6), Palette(2, iter_all_triples(2)),
+                Palette(3)]
     palettes += [Palette(m, [t for t in iter_all_triples(m) if rng.random() < 0.3])
                  for m in (3, 4, 4)]
     verdicts = set()

@@ -78,8 +78,8 @@ def reference_audit(p, k, ties=None):
     f_total = sum((r.f1 + r.f2 + r.f3 for r in rows), Fraction(0))
     f_bound = 1 + Fraction(1, n) * f_total
     steps = [
-        AuditStep("exclusion_bound", Fraction(p.num_triples), Fraction(exclusion_bound),
-                  p.num_triples <= exclusion_bound, True,
+        AuditStep("exclusion_bound", Fraction(len(p.triples)), Fraction(exclusion_bound),
+                  len(p.triples) <= exclusion_bound, True,
                   "admissible triples avoid all three exclusion sets"),
         AuditStep("bonferroni", Fraction(exclusion_bound), Fraction(ie_bound),
                   exclusion_bound <= ie_bound, True,
@@ -231,7 +231,7 @@ def test_four_colour_palettes_match_reference():
     assert final.lhs == final.rhs
     rng = random.Random(4)
     universe = list(iter_all_triples(4))
-    palettes = [p5, Palette.full(4), Palette.empty(4)]
+    palettes = [p5, Palette(4, iter_all_triples(4)), Palette(4)]
     palettes += [Palette(4, [t for t in universe if rng.random() < dens])
                  for dens in (0.2, 0.45, 0.7)]
     for p in palettes:
@@ -245,7 +245,7 @@ def test_audit_verdict_matches_is_good_on_reference_set():
     cases += [(random_bad_palette(5 + i % 3, 3, rng), 5 + i % 3) for i in range(30)]
     rng = random.Random(4)
     universe = list(iter_all_triples(4))
-    fours = [lower_bound_palette(5), Palette.full(4), Palette.empty(4)]
+    fours = [lower_bound_palette(5), Palette(4, iter_all_triples(4)), Palette(4)]
     fours += [Palette(4, [t for t in universe if rng.random() < dens])
               for dens in (0.2, 0.45, 0.7)]
     cases += [(p, k) for p in fours for k in (5, 6)]

@@ -490,6 +490,23 @@ def test_malformed_input_exits_2(tmp_path):
     assert proc.stdout == ""
 
 
+def test_each_text_reader_reports_malformed_input_and_exits_2(tmp_path, capsys, bad_file):
+    # FormatError is a ValueError, so main's ValueError handler reports it.
+    cases = (
+        ("palette 2\n0 0 7\n", ["stats"],
+         "error: line 2: value out of range [0, 2) in '0 0 7'"),
+        ("digraph 3\n0 1 2\n", ["tk-find", "--k", "2"],
+         "error: line 2: expected 2 integers, got '0 1 2'"),
+        ("threegraph 3\n0 1 1\n", ["check", bad_file, "--graph"],
+         "error: edge must have three distinct vertices: (0, 1, 1)"),
+    )
+    for text, argv, message in cases:
+        path = tmp_path / "broken.txt"
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 2, argv
+        assert capsys.readouterr() == ("", message + "\n"), argv
+
+
 def test_duplicate_triple_warns_in_one_line(tmp_path, bad_file):
     path = tmp_path / "dup.pal"
     path.write_text(BAD + "0 1 0\n1 0 1\n")

@@ -92,7 +92,7 @@ def test_parse_threegraph_literal_text():
 
 def test_single_edge_good_iff_some_triple():
     edge = make_star(2)
-    assert is_good(Palette.empty(2), edge) is None
+    assert is_good(Palette(2), edge) is None
     for t in iter_all_triples(2):
         w = is_good(Palette(2, [t]), edge)
         assert w is not None
@@ -101,9 +101,9 @@ def test_single_edge_good_iff_some_triple():
 
 def test_empty_graph_trivially_good():
     f = ThreeGraph(3, [])
-    w = is_good(Palette.empty(1), f)
+    w = is_good(Palette(1), f)
     assert w is not None
-    assert verify_witness(Palette.empty(1), f, w)
+    assert verify_witness(Palette(1), f, w)
 
 
 def test_example_bad_palette():
@@ -113,7 +113,7 @@ def test_example_bad_palette():
 
 
 def test_full_palette_good():
-    p = Palette.full(2)
+    p = Palette(2, iter_all_triples(2))
     s = make_star(4)
     w = is_good(p, s)
     assert w is not None
@@ -130,7 +130,7 @@ def test_matches_brute_force_on_sample():
 
 
 def test_witness_verification_rejects_tampering():
-    p = Palette.full(2)
+    p = Palette(2, iter_all_triples(2))
     s = make_star(2)
     w = is_good(p, s)
     assert verify_witness(p, s, w)
@@ -140,7 +140,7 @@ def test_witness_verification_rejects_tampering():
 
 
 def test_witness_shape_errors():
-    p = Palette.full(2)
+    p = Palette(2, iter_all_triples(2))
     s = make_star(2)
     w = is_good(p, s)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_good_for_larger_star_implies_good_for_smaller(p):
 @given(small_palettes)
 def test_badness_survives_triple_removal(p):
     star = make_star(3)
-    if is_good(p, star) is None and p.num_triples:
+    if is_good(p, star) is None and len(p.triples):
         t = p.sorted_triples()[0]
         assert is_good(Palette(p.num_colors, p.triples - {t}), star) is None
 
@@ -184,7 +184,7 @@ def test_returned_witness_always_verifies(p):
 
 
 def test_node_budget_exhaustion():
-    p = Palette.full(3)
+    p = Palette(3, iter_all_triples(3))
     with pytest.raises(BudgetExceeded):
         is_good(p, make_star(5), node_budget=1)
 
@@ -202,7 +202,7 @@ def test_star_verdict_charges_one_node_per_tk_search_node(m, k, nodes):
 
 def test_brute_force_cap():
     with pytest.raises(EnumerationCapExceeded):
-        brute_force_is_good(Palette.full(3), make_star(5))
+        brute_force_is_good(Palette(3, iter_all_triples(3)), make_star(5))
 
 
 def test_non_star_graph():
@@ -272,8 +272,8 @@ def test_is_bad_on_non_stars_edgeless_graphs_and_empty_palettes():
         _agrees_with_oracle(p, k4)
         assert is_bad(p, ThreeGraph(3, [])) is False
     for k in (2, 3, 6):
-        assert is_bad(Palette.empty(2), make_star(k)) is True
-    for p in (Palette.empty(2), Palette.full(2)):
+        assert is_bad(Palette(2), make_star(k)) is True
+    for p in (Palette(2), Palette(2, iter_all_triples(2))):
         with pytest.raises(ValueError, match="node budget must be positive"):
             is_bad(p, make_star(3), node_budget=0)
 
@@ -322,14 +322,14 @@ def test_star_certificate_checks_the_tk_it_returns(monkeypatch):
 def test_deep_non_star_search_does_not_recurse():
     f = ThreeGraph(51, make_star(50).edges | {(1, 2, 3)})
     assert star_apex(f) is None
-    p = Palette.full(2)
+    p = Palette(2, iter_all_triples(2))
     w = is_good(p, f)
     assert w is not None
     assert verify_witness(p, f, w)
 
 
 def test_witness_shape_error_messages():
-    p = Palette.full(2)
+    p = Palette(2, iter_all_triples(2))
     s = make_star(2)
     coloring = {(0, 1): 0, (0, 2): 1, (1, 2): 0}
     unsorted = GoodnessWitness((0, 1, 2), {**coloring, (1, 0): 0})
@@ -410,4 +410,4 @@ def test_wrong_witnesses_raise(monkeypatch):
     path = ThreeGraph(4, [(0, 1, 2), (1, 2, 3)])  # no star: the ordering sweep decides it
     for decide in (is_good, brute_force_is_good):
         with pytest.raises(RuntimeError, match=message):
-            decide(Palette.full(2), path)
+            decide(Palette(2, iter_all_triples(2)), path)

@@ -50,7 +50,7 @@ def with_examples(items):
 
 def test_constructor_normalizes_and_validates():
     p = Palette(2, [(0, 0, 1), (0, 0, 1)])
-    assert p.num_triples == 1
+    assert len(p.triples) == 1
     assert p.sorted_triples() == [(0, 0, 1)]
     with pytest.raises(ValueError):
         Palette(0, [])
@@ -86,10 +86,10 @@ def test_constructor_accepts_bools_and_lists():
 
 
 def test_empty_and_full():
-    e = Palette.empty(2)
-    assert e.num_triples == 0 and e.density == 0
-    f = Palette.full(2)
-    assert f.num_triples == 8 and f.density == 1
+    e = Palette(2)
+    assert len(e.triples) == 0 and e.density == 0
+    f = Palette(2, iter_all_triples(2))
+    assert len(f.triples) == 8 and f.density == 1
     st_ = compute_stats(f)
     assert st_.min_degree == 1
 
@@ -132,7 +132,7 @@ def test_min_degree_at_most_density(p):
 def test_slice_counts_sum_to_triple_count(p):
     st_ = compute_stats(p)
     for pos in range(3):
-        assert sum(row[pos] for row in st_.slice_counts) == p.num_triples
+        assert sum(row[pos] for row in st_.slice_counts) == len(p.triples)
 
 
 @given(palettes)
@@ -151,7 +151,7 @@ def test_remove_color_relabels():
     assert q.num_colors == 2
     assert q.sorted_triples() == [(1, 1, 1)]
     with pytest.raises(ValueError):
-        remove_color(Palette.empty(1), 0)
+        remove_color(Palette(1), 0)
 
 
 def test_permute_colors_roundtrip():
@@ -174,7 +174,7 @@ def test_canonical_form_is_permutation_invariant(p, rng):
 def test_canonical_form_is_idempotent(p):
     c = canonical_form(p)
     assert canonical_form(c) == c
-    assert c.num_triples == p.num_triples
+    assert len(c.triples) == len(p.triples)
 
 
 def test_parse_serialize_roundtrip():
@@ -197,7 +197,7 @@ def test_parse_warns_on_duplicates():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         p = parse_palette("palette 2\n0 0 1\n0 0 1\n")
-    assert p.num_triples == 1
+    assert len(p.triples) == 1
     assert any("duplicate" in str(w.message) for w in caught)
 
 

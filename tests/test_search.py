@@ -64,7 +64,7 @@ def test_exhaustive_single_color():
     cfg = SearchConfig(k=2, num_colors=1, objective="density", mode="exhaustive")
     report = search(cfg)
     assert report.best_objective == 0
-    assert report.best_palette.num_triples == 0
+    assert len(report.best_palette.triples) == 0
     assert report.num_bad_found == 1
     assert report.num_candidates_examined == 2
 
@@ -77,7 +77,7 @@ def test_single_color_other_engines(engine, examined):
     cfg = SearchConfig(k=2, num_colors=1, objective="density", **engine)
     report = search(cfg)
     assert report.best_objective == 0
-    assert report.best_palette.num_triples == 0
+    assert len(report.best_palette.triples) == 0
     assert report.num_bad_found == 1
     assert report.num_candidates_examined == examined
 
@@ -201,7 +201,7 @@ def _count_oracle_calls(monkeypatch):
 
 def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
-    for p, k in ((OPTIMUM, 3), (Palette.empty(3), 2), (Palette(2, [(0, 1, 0)]), 3)):
+    for p, k in ((OPTIMUM, 3), (Palette(3), 2), (Palette(2, [(0, 1, 0)]), 3)):
         _verify_bad(p, k, DEFAULT_NODE_BUDGET)
     assert calls == []
     # {101} is S_3-bad and its aux digraph is the path 0-1-3-2, which is
@@ -233,13 +233,29 @@ def test_colouring_certificate_is_checked_in_one_place(monkeypatch):
 
 def test_verify_bad_raises_on_good_palettes(monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
-    for p, k in ((Palette.full(2), 3),
+    for p, k in ((Palette(2, iter_all_triples(2)), 3),
                  (Palette(OPTIMUM.num_colors, OPTIMUM.triples | {(0, 0, 0)}), 5),
                  (Palette(2, [(0, 1, 0), (1, 0, 0)]), 3)):
         assert is_good(p, make_star(k)) is not None
         with pytest.raises(RuntimeError, match="not bad"):
             _verify_bad(p, k, DEFAULT_NODE_BUDGET)
     assert calls == []
+
+
+def test_verify_bad_charges_what_is_bad_charges():
+    # Every budget up to one past the need: the same BudgetExceeded message
+    # as is_bad, and no raise at all exactly where is_bad answers.
+    checked = 0
+    for m, k, seed in itertools.product(range(2, 5), range(3, 7), range(2)):
+        p = random_bad_palette(k, m, random.Random(seed))
+        star = make_star(k)
+        need = _charge(p, k)
+        for budget in range(1, need + 2):
+            verdict = _decided(lambda b: is_bad(p, star, node_budget=b), budget)
+            assert _decided(lambda b: _verify_bad(p, k, b), budget) == (
+                None if verdict is True else verdict)
+            checked += verdict is not True
+    assert checked > 0
 
 
 def test_search_builds_no_star_past_the_oracle(monkeypatch):
@@ -256,7 +272,7 @@ def test_search_builds_no_star_past_the_oracle(monkeypatch):
 
 
 def test_grown_palettes_are_maximal_bad():
-    lexicographic = _grow(Palette.empty(2), iter_all_triples(2), 3, DEFAULT_NODE_BUDGET)
+    lexicographic = _grow(Palette(2), iter_all_triples(2), 3, DEFAULT_NODE_BUDGET)
     _assert_maximal_bad(lexicographic, make_star(3))
     assert _grow(OPTIMUM, iter_all_triples(2), 3, DEFAULT_NODE_BUDGET) == OPTIMUM
     rng = random.Random(5)
@@ -285,7 +301,7 @@ def test_minimalize_drops_unused_color():
     assert result.num_colors == 2
     assert result.density == Fraction(1, 4)
     with pytest.raises(ValueError):
-        minimalize(Palette.full(2), 3)
+        minimalize(Palette(2, iter_all_triples(2)), 3)
 
 
 def test_minimalize_agrees_with_minimality_check():
@@ -318,7 +334,7 @@ def test_minimalize_and_growth_build_no_star(monkeypatch):
     with pytest.raises(ValueError, match=r"^a star needs at least 2 leaves, got k=1$"):
         minimalize(OPTIMUM, 1)
     with pytest.raises(ValueError, match="palette is not bad"):
-        minimalize(Palette.full(2), 1000)
+        minimalize(Palette(2, iter_all_triples(2)), 1000)
 
 
 def test_minimalize_raises_when_a_removal_leaves_the_palette_good(monkeypatch):
@@ -493,7 +509,7 @@ def _reference_class_sweep(m, k):
     classes examined and every bad class's canonical form, level by level."""
     star = make_star(k)
     universe = list(iter_all_triples(m))
-    level = [Palette.empty(m)]
+    level = [Palette(m)]
     examined, bad = 1, list(level)
     while level:
         verdicts = {}
@@ -633,8 +649,8 @@ def test_grow_matches_reference_grower():
             for _ in range(3):
                 order = universe.copy()
                 rng.shuffle(order)
-                grown = _reference_grow(Palette.empty(m), order, k)
-                starts = [Palette.empty(m),
+                grown = _reference_grow(Palette(m), order, k)
+                starts = [Palette(m),
                           Palette(m, [t for t in grown.triples if rng.random() < 0.5]),
                           Palette(m, rng.sample(universe, m))]
                 for start in starts:
@@ -683,13 +699,13 @@ def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
     monkeypatch.setattr(goodness, "_find_tk", counting)
     # (2,1,0), (0,1,2) and (0,2,0) give (0,1,0)'s arcs 1 -> 0, 3 -> 4 and 0 -> 3.
     base = [(2, 1, 0), (0, 1, 2), (0, 2, 0)]
-    grown = _grow(Palette.empty(3), [*base, (0, 1, 0)], 4, DEFAULT_NODE_BUDGET)
+    grown = _grow(Palette(3), [*base, (0, 1, 0)], 4, DEFAULT_NODE_BUDGET)
     assert grown == Palette(3, [*base, (0, 1, 0)])
     assert len(searched) == 3
     # On a seeded pass, one search per loop-free decision that adds an arc.
     universe = list(iter_all_triples(5))
     random.Random(4).shuffle(universe)
-    p, expected, covered = Palette.empty(5), 0, 0
+    p, expected, covered = Palette(5), 0, 0
     for t in universe:
         if t[0] != t[1] != t[2] and t not in p.triples:
             adds = _aux_masks(5, p.triples | {t}) != _aux_masks(5, p.triples)
@@ -699,5 +715,5 @@ def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
                 p = Palette(5, p.triples | {t})
     assert covered > 0
     searched.clear()
-    assert _grow(Palette.empty(5), universe, 6, DEFAULT_NODE_BUDGET) == p
+    assert _grow(Palette(5), universe, 6, DEFAULT_NODE_BUDGET) == p
     assert len(searched) == expected
