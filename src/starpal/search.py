@@ -8,17 +8,20 @@ maximal bad palette is grown by `_grow`, one pass over a triple order.  The
 sweep and `_grow` decide a bad base plus one triple by `_bad_extension`, from
 the base's aux masks with the triple's four arcs OR-ed in, so a candidate
 builds no Palette and no aux digraph; one that adds no arc runs no T_k
-search and is charged the base's node count.  The engines offer triple masks to
-`_Best`, which scores them in integers, and no search loop decodes a mask,
-builds a Fraction or calls `canonical_form`.  Reported optima are
-re-verified bad: by their star decision, then by a checked colouring of the
-aux digraph into k-1 arc-free classes, or, where greedy finds none, by the
-brute-force oracle within its cap.
+search and is charged the base's node count, and one that first-fit splits
+into k-1 arc-free classes runs none where the budget cannot bind.  The
+engines offer triple masks to `_Best`, which scores them in integers, and no
+search loop decodes a mask, builds a Fraction or calls `canonical_form`.
+Reported optima are re-verified bad: by their star decision, then by a
+checked colouring of the aux digraph into k-1 arc-free classes, or, where
+greedy finds none, by the brute-force oracle within its cap.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,7 @@ MODES = ("exhaustive", "local")
 # override; the class sweep's cost follows the number of bad classes, not 2^(m^3).
 MAX_PLAIN_EXHAUSTIVE_COLORS = 2
 
-# A palette's LITERAL aux masks and, if bad, its T_k search node count, else None.
+# A palette's LITERAL aux masks and, if bad and searched, its T_k search node count, else None.
 _Base = tuple[Sequence[int], Optional[int]]
 
 
@@ -211,14 +214,19 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
                    node_budget: int) -> Optional[_Base]:
     """The `_Base` of base + t when that palette is S_k-bad, else None.
 
-    base is a palette of `size` triples without t.  The verdict and its
-    charge (a fresh budget, |base| + 1 and one per T_k node) are those of
-    `is_bad` on base + t and S_k.  A triple (x, x, z) or (x, y, y) gives the
-    loop m+x -> m+y or y -> z, so it is rejected after the |base| + 1 charge
-    alone, with no masks built.  A covered t adds no aux arc: its trial masks
-    equal a bad base's, so the T_k search is as it was.  base is returned,
-    charged the nodes up to where that search stops, and no search runs.
-    node_budget must be positive.
+    base is a palette of `size` triples without t.  The verdict, and a
+    BudgetExceeded with its message, are those of `is_bad` on base + t and
+    S_k, which charges a fresh budget |base| + 1 and one per T_k node.  A
+    triple (x, x, z) or (x, y, y) gives the loop m+x -> m+y or y -> z, so it
+    is rejected after the |base| + 1 charge alone, with no masks built.  A
+    covered t adds no aux arc: its trial masks equal a bad base's, so the T_k
+    search is as it was.  base is returned, charged the nodes up to where
+    that search stops, and no search runs.  Any other trial is bad with no
+    search when first-fit splits its masks into k-1 arc-free classes (checked
+    by `_arc_free_classes`) and |base| + 1 + `_tk_node_bound(2m, k)` fits the
+    budget: `_find_tk` visits at most that many nodes and stops only past what
+    is left, so there `is_bad` cannot raise and shows only its verdict.  That
+    `_Base` has no node count.  node_budget must be positive.
     """
     x, y, z = t
     budget = _Budget(node_budget)
@@ -231,9 +239,18 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
         budget.spend(size + 1)
         budget.spend(min(nodes, budget.limit - budget.spent + 1))
         return base
+    if (size + 1 + _tk_node_bound(len(out), k) <= node_budget
+            and _arc_free_classes(trial, k) is not None):
+        return trial, None
     if _star_certificate(trial, size + 1, k, budget) is None:
         return trial, budget.spent - size - 1
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _tk_node_bound(n: int, k: int) -> int:
+    """Most nodes `_find_tk` visits on n vertices: the root and each ordered tuple of <= k."""
+    return sum(math.perm(n, d) for d in range(k + 1))
 
 
 def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Palette:

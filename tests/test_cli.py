@@ -437,12 +437,17 @@ def test_local_search_budget_exhaustion_is_pinned(capsys, argv, spent, budget):
 
 def test_local_search_at_k_minus_one_colours_is_pinned(monkeypatch, capsys):
     # `search --mode local` for (k, m) = (5, 4), (6, 5), (7, 6), seeds 0 and 1,
-    # 300 iterations, each objective in turn.
+    # 300 iterations, each objective in turn; and for (6, 5) and (7, 6) at
+    # seed 0 and 4,000 iterations, where first-fit decides 673 and 637 trials
+    # with no T_k search.
+    parser, formats = starpal.cli.build_parser(), {"text": [], "json": ["--json"]}
     runs = [("", ["search", "--star", str(k), "--colors", str(k - 1), "--mode", "local",
                   "--seed", str(seed), "--iterations", "300", "--objective", objective])
             for k in (5, 6, 7) for seed in (0, 1) for objective in ("density", "min-degree")]
-    _digests(starpal.cli.build_parser(), monkeypatch, capsys, "search-local-m-k1.sha256", runs,
-             {"text": [], "json": ["--json"]})
+    _digests(parser, monkeypatch, capsys, "search-local-m-k1.sha256", runs, formats)
+    runs = [("", ["search", "--star", str(k), "--colors", str(k - 1), "--mode", "local",
+                  "--seed", "0", "--iterations", "4000"]) for k in (6, 7)]
+    _digests(parser, monkeypatch, capsys, "search-local-m-k1-4000.sha256", runs, formats)
 
 
 def test_search_local_above_canonical_colors():

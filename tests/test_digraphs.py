@@ -18,6 +18,7 @@ from starpal import (AuxPolicy, BudgetExceeded, Digraph, EnumerationCapExceeded,
 from starpal.digraphs import (_arc_free_classes, _find_tk, _is_arc_free_colouring,
                               _tk_free_classes)
 from starpal.errors import _Budget
+from starpal.search import _tk_node_bound
 
 small_palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -306,6 +307,25 @@ def test_find_tk_charges_as_the_per_node_search():
                     assert _charged(_find_tk, out, k, limit, spent) == expected, (out, k, limit)
                     refused += isinstance(expected[0], str)
     assert refused
+
+
+def test_find_tk_charges_at_most_the_node_bound():
+    # `_tk_node_bound(n, k)`, the root plus every ordered tuple of at most k
+    # distinct vertices, is what lets the search skip a T_k search that its
+    # node budget could not cut short.
+    rng = random.Random(34)
+    random_outs = []
+    for n in (rng.randint(1, 10) for _ in range(2000)):
+        density = rng.random()
+        random_outs.append(tuple(sum(1 << v for v in range(n) if rng.random() < density)
+                                 for _ in range(n)))
+    outs = itertools.chain((out for n in range(4)
+                            for out in itertools.product(range(1 << n), repeat=n)), random_outs)
+    for out in outs:
+        for k in range(len(out) + 2):
+            budget = _Budget(10 ** 9)
+            _find_tk(out, k, budget)
+            assert budget.spent <= _tk_node_bound(len(out), k), (out, k)
 
 
 def test_turan_max_arcs_values():

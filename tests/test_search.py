@@ -15,7 +15,8 @@ from starpal.digraphs import (_arc_free_classes, _aux_masks, _find_tk,
 from starpal.errors import _Budget
 from starpal.goodness import DEFAULT_NODE_BUDGET
 from starpal.palette import _mask_triples, permute_colors
-from starpal.search import OBJECTIVES, _Best, _bad_extension, _grow, _sorts_before, _verify_bad
+from starpal.search import (OBJECTIVES, _Best, _bad_extension, _grow, _sorts_before,
+                            _tk_node_bound, _verify_bad)
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -221,14 +222,18 @@ def test_verify_bad_runs_the_oracle_only_without_a_colouring(monkeypatch):
 
 
 def test_colouring_certificate_is_checked_in_one_place(monkeypatch):
-    # Both callers take their classes from `_arc_free_classes`, which checks
-    # them itself and raises rather than asserts, so the check holds under -O.
+    # The T_k search, `_verify_bad` and the search's extension decisions take
+    # their classes from `_arc_free_classes`, which checks them itself and
+    # raises rather than asserts, so the check holds under -O.
     monkeypatch.setattr("starpal.digraphs._is_arc_free_colouring", lambda *_: False)
     message = "^internal error: colouring certificate fails its check$"
     with pytest.raises(RuntimeError, match=message):
         find_transitive_tournament(tripartite_construction(9, 0), 4)
     with pytest.raises(RuntimeError, match=message):
         _verify_bad(OPTIMUM, 3, DEFAULT_NODE_BUDGET)
+    with pytest.raises(RuntimeError, match=message) as raised:
+        search(SearchConfig(k=5, num_colors=3, dedup=True, allow_large_exhaustive=True))
+    assert "_bad_extension" in [entry.name for entry in raised.traceback]
 
 
 def test_verify_bad_raises_on_good_palettes(monkeypatch):
@@ -595,7 +600,10 @@ def _assert_extension_matches_is_bad(base, t, k):
         assert (_bad_extension((out, nodes), size, t, k, need)
                 == ((_aux_masks(grown.num_colors, grown.triples), need - size - 1)
                     if bad else None))
-        for budget in {1, size, size + 1, need - 1}:
+        # Both sides of the colouring threshold, where no search can outrun the budget.
+        threshold = size + 1 + _tk_node_bound(2 * base.num_colors, k)
+        for budget in {1, size, size + 1, need - 1, threshold - 1, threshold, threshold + 1,
+                       DEFAULT_NODE_BUDGET}:
             if budget >= 1:
                 assert _decided(by_masks, budget) == _decided(by_palette, budget)
         if need > 1:
@@ -688,32 +696,74 @@ def test_covered_rule_is_the_arc_test():
                 Palette(m, rng.sample(universe, rng.randrange(len(universe) // 2))), rng)
 
 
-def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
-    goodness = importlib.import_module("starpal.goodness")
+def _count_tk_searches(monkeypatch):
+    """The out-masks of every T_k search the star decision runs from now on."""
     searched = []
 
     def counting(out, k, budget=None):
         searched.append(list(out))
         return _find_tk(out, k, budget)
 
-    monkeypatch.setattr(goodness, "_find_tk", counting)
+    monkeypatch.setattr(importlib.import_module("starpal.goodness"), "_find_tk", counting)
+    return searched
+
+
+def test_bad_extension_searches_only_below_the_colouring_threshold(monkeypatch):
+    # A trial that first-fit splits into k-1 arc-free classes, on a base with
+    # no node count to reuse, runs no T_k search once the budget covers
+    # |base| + 1 + `_tk_node_bound(2m, k)`, and one search a node below that.
+    searched = _count_tk_searches(monkeypatch)
+    rng = random.Random(34)
+    certified = 0
+    for m in (2, 3, 4, 5):
+        universe = list(iter_all_triples(m))
+        for k in range(3, 8):
+            for _ in range(4):
+                bad = random_bad_palette(k, m, rng)
+                any_base = Palette(m, rng.sample(universe, rng.randrange(m ** 3 // 3)))
+                for base in (bad, any_base):
+                    out, size = _aux_masks(m, base.triples), len(base.triples)
+                    threshold = size + 1 + _tk_node_bound(2 * m, k)
+                    for t in universe:
+                        trial = _aux_masks(m, base.triples | {t})
+                        if (t in base.triples or t[0] == t[1] or t[1] == t[2]
+                                or _arc_free_classes(trial, k) is None):
+                            continue
+                        certified += 1
+                        nodes = _charge(Palette(m, base.triples | {t}), k) - size - 1
+                        for budget, searches, count in ((threshold, 0, None),
+                                                        (threshold - 1, 1, nodes)):
+                            searched.clear()
+                            found = _bad_extension((out, None), size, t, k, budget)
+                            assert (found, len(searched)) == ((trial, count), searches)
+    assert certified > 0
+
+
+def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
+    searched = _count_tk_searches(monkeypatch)
     # (2,1,0), (0,1,2) and (0,2,0) give (0,1,0)'s arcs 1 -> 0, 3 -> 4 and 0 -> 3.
+    # Below the colouring threshold each of them is searched, and (0,1,0) is not.
     base = [(2, 1, 0), (0, 1, 2), (0, 2, 0)]
-    grown = _grow(Palette(3), [*base, (0, 1, 0)], 4, DEFAULT_NODE_BUDGET)
+    grown = _grow(Palette(3), [*base, (0, 1, 0)], 4, _tk_node_bound(6, 4))
     assert grown == Palette(3, [*base, (0, 1, 0)])
     assert len(searched) == 3
-    # On a seeded pass, one search per loop-free decision that adds an arc.
+    # On a seeded pass, one search per loop-free decision that adds an arc;
+    # at a budget that clears the colouring threshold, one per such decision
+    # whose trial first-fit does not split into k-1 arc-free classes.
     universe = list(iter_all_triples(5))
     random.Random(4).shuffle(universe)
-    p, expected, covered = Palette(5), 0, 0
+    p, adding, uncertified, covered = Palette(5), 0, 0, 0
     for t in universe:
         if t[0] != t[1] != t[2] and t not in p.triples:
-            adds = _aux_masks(5, p.triples | {t}) != _aux_masks(5, p.triples)
-            expected += adds
+            trial = _aux_masks(5, p.triples | {t})
+            adds = trial != _aux_masks(5, p.triples)
+            adding += adds
+            uncertified += adds and _arc_free_classes(trial, 6) is None
             covered += not adds
             if is_bad(Palette(5, p.triples | {t}), make_star(6)):
                 p = Palette(5, p.triples | {t})
-    assert covered > 0
-    searched.clear()
-    assert _grow(Palette(5), universe, 6, DEFAULT_NODE_BUDGET) == p
-    assert len(searched) == expected
+    assert covered > 0 and 0 < uncertified < adding
+    for budget, expected in ((_tk_node_bound(10, 6), adding), (DEFAULT_NODE_BUDGET, uncertified)):
+        searched.clear()
+        assert _grow(Palette(5), universe, 6, budget) == p
+        assert len(searched) == expected
