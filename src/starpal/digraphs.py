@@ -211,7 +211,55 @@ def _is_arc_free_colouring(out: Sequence[int], classes: Sequence[int], k: int) -
     if (len(classes) >= k or sum(cls.bit_count() for cls in classes) != n
             or functools.reduce(operator.or_, classes, 0) != (1 << n) - 1):
         return False
-    return all(not out[v] & cls for cls in classes for v in range(n) if cls >> v & 1)
+    for cls in classes:
+        rest = cls
+        while rest:
+            low = rest & -rest
+            if out[low.bit_length() - 1] & cls:
+                return False
+            rest ^= low
+    return True
+
+
+def _find_new_tk(out: Sequence[int], trial: Sequence[int],
+                 k: int) -> Optional[tuple[int, ...]]:
+    """A T_k of trial, checked by a raise, sought only around its arcs missing
+    from out, or None.  When out holds no T_k, every T_k of trial uses such an
+    arc u -> v, so None means trial holds none.
+
+    The T_k's other vertices lie in C, less u and v: P (arcs into u and v), M
+    (out of u and into v) and S (out of u and v).  An arc with |C| < k-2 is
+    skipped; at k = 3 any w in C completes a T_3, else `_find_tk` searches
+    trial restricted to C + {u, v}.
+    """
+    for u, new in enumerate(trial):
+        new &= ~(out[u] | 1 << u)  # a loop lies in no T_k
+        while new:
+            low = new & -new
+            new ^= low
+            v = low.bit_length() - 1
+            into_u = into_v = 0
+            for w, mask in enumerate(trial):
+                into_u |= (mask >> u & 1) << w
+                into_v |= (mask >> v & 1) << w
+            c = (into_u & into_v | trial[u] & (into_v | trial[v])) & ~(1 << u | low)
+            if c.bit_count() < k - 2:
+                continue
+            if k == 3:
+                w = (c & -c).bit_length() - 1
+                tk = ((w, u, v) if (into_u & into_v) >> w & 1
+                      else (u, w, v) if into_v >> w & 1 else (u, v, w))
+            else:
+                keep = c | 1 << u | low
+                tk = _find_tk([mask & keep if keep >> w & 1 else 0
+                               for w, mask in enumerate(trial)], k)
+                if tk is None:
+                    continue
+            if len(set(tk)) != k or not all(
+                    trial[a] >> b & 1 for a, b in itertools.combinations(tk, 2)):
+                raise RuntimeError("internal error: new-arc T_k fails its check")
+            return tk
+    return None
 
 
 def find_transitive_tournament(d: Digraph, k: int) -> Optional[tuple[int, ...]]:

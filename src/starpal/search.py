@@ -8,10 +8,13 @@ maximal bad palette is grown by `_grow`, one pass over a triple order.  The
 sweep and `_grow` decide a bad base plus one triple by `_bad_extension`, from
 the base's aux masks with the triple's four arcs OR-ed in, so a candidate
 builds no Palette and no aux digraph; one that adds no arc runs no T_k
-search and is charged the base's node count, and one that first-fit splits
-into k-1 arc-free classes runs none where the budget cannot bind.  The
-engines offer triple masks to `_Best`, which scores them in integers, and no
-search loop decodes a mask, builds a Fraction or calls `canonical_form`.
+search and is charged the base's node count.  Each base carries a status:
+counted bad, uncounted bad, or unknown (only a nonempty `_grow` start).
+Where the budget cannot bind, an extension of a known-bad base is bad when
+first-fit splits it into k-1 arc-free classes, else good exactly when it
+holds a T_k through one of its new arcs.  The engines offer triple masks to
+`_Best`, which scores them in integers, and no search loop decodes a mask,
+builds a Fraction or calls `canonical_form`.
 Reported optima are re-verified bad: by their star decision, then by a
 checked colouring of the aux digraph into k-1 arc-free classes, or, where
 greedy finds none, by the brute-force oracle within its cap.
@@ -29,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .audit import minimality_check
 from .errors import EnumerationCapExceeded, _Budget
-from .digraphs import _arc_free_classes
+from .digraphs import _arc_free_classes, _find_new_tk
 from .goodness import (DEFAULT_NODE_BUDGET, _star_bad, _star_certificate,
                        brute_force_is_good, make_star)
 from .palette import (MAX_CANONICAL_COLORS, Palette, Triple, _aux_masks, _mask_triples,
@@ -43,8 +46,11 @@ MODES = ("exhaustive", "local")
 # override; the class sweep's cost follows the number of bad classes, not 2^(m^3).
 MAX_PLAIN_EXHAUSTIVE_COLORS = 2
 
-# A palette's LITERAL aux masks and, if bad and searched, its T_k search node count, else None.
+# A palette's LITERAL aux masks and its status: the T_k search node count of a
+# bad palette that was searched, _UNCOUNTED for a bad one that was not, or
+# None when it is not known to be bad (a nonempty `_grow` start).
 _Base = tuple[Sequence[int], Optional[int]]
+_UNCOUNTED = -1
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,7 @@ def _sweep_canonical(cfg: SearchConfig, best: _Best) -> tuple[int, list[int]]:
         return _bad_extension(base, key.bit_count() - 1, loop_free[i], cfg.k, cfg.node_budget)
 
     images = [_relabeled_masks(m, [t]) for t in loop_free]
-    for key, masks, _ in _orbit_sweep(images, len(loops), ([0] * (2 * m), None), accept):
+    for key, masks, _ in _orbit_sweep(images, len(loops), ([0] * (2 * m), 0), accept):
         _Budget(cfg.node_budget).spend(key.bit_count() + 1)
         stabilizer = [loops[i] for i, mask in enumerate(masks) if mask == key]
         examined += sum(stabilizer) // len(stabilizer)
@@ -219,14 +225,15 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
     S_k, which charges a fresh budget |base| + 1 and one per T_k node.  A
     triple (x, x, z) or (x, y, y) gives the loop m+x -> m+y or y -> z, so it
     is rejected after the |base| + 1 charge alone, with no masks built.  A
-    covered t adds no aux arc: its trial masks equal a bad base's, so the T_k
-    search is as it was.  base is returned, charged the nodes up to where
-    that search stops, and no search runs.  Any other trial is bad with no
-    search when first-fit splits its masks into k-1 arc-free classes (checked
-    by `_arc_free_classes`) and |base| + 1 + `_tk_node_bound(2m, k)` fits the
-    budget: `_find_tk` visits at most that many nodes and stops only past what
-    is left, so there `is_bad` cannot raise and shows only its verdict.  That
-    `_Base` has no node count.  node_budget must be positive.
+    covered t adds no aux arc: its trial masks equal a counted base's, so the
+    T_k search is as it was.  base is returned, charged the nodes up to where
+    that search stops, and no search runs.  Where |base| + 1 +
+    `_tk_node_bound(2m, k)` fits the budget, `_find_tk` cannot outrun it, so
+    `is_bad` cannot raise and shows only its verdict.  There a trial of a base
+    known to be bad, so free of loops and T_k, is decided uncounted: bad when
+    first-fit splits it into k-1 arc-free classes (`_arc_free_classes`), else
+    good exactly when `_find_new_tk` finds a T_k through one of its new arcs.
+    node_budget must be positive.
     """
     x, y, z = t
     budget = _Budget(node_budget)
@@ -235,13 +242,14 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
         return None
     out, nodes = base
     trial = _aux_masks(len(out) // 2, [t], out=out)
-    if trial == out and nodes is not None:
+    if trial == out and nodes is not None and nodes >= 0:
         budget.spend(size + 1)
         budget.spend(min(nodes, budget.limit - budget.spent + 1))
         return base
-    if (size + 1 + _tk_node_bound(len(out), k) <= node_budget
-            and _arc_free_classes(trial, k) is not None):
-        return trial, None
+    if nodes is not None and size + 1 + _tk_node_bound(len(out), k) <= node_budget:
+        if _arc_free_classes(trial, k) is None and _find_new_tk(out, trial, k) is not None:
+            return None
+        return trial, _UNCOUNTED
     if _star_certificate(trial, size + 1, k, budget) is None:
         return trial, budget.spent - size - 1
     return None
@@ -260,7 +268,7 @@ def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Pale
     triple stays rejected (supersets of good palettes are good).
     """
     triples = set(p.triples)
-    base = _aux_masks(p.num_colors, triples), None
+    base = _aux_masks(p.num_colors, triples), None if triples else 0
     for t in order:
         if t not in triples:
             trial = _bad_extension(base, len(triples), t, k, node_budget)

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -15,8 +17,8 @@ from starpal import (AuxPolicy, BudgetExceeded, Digraph, EnumerationCapExceeded,
                      iter_loopless_digraphs, parse_digraph, serialize_digraph,
                      tk_square_check, tripartite_construction, tripartite_report,
                      turan_max_arcs)
-from starpal.digraphs import (_arc_free_classes, _find_tk, _is_arc_free_colouring,
-                              _tk_free_classes)
+from starpal.digraphs import (_arc_free_classes, _find_new_tk, _find_tk,
+                              _is_arc_free_colouring, _tk_free_classes)
 from starpal.errors import _Budget
 from starpal.search import _tk_node_bound
 
@@ -711,6 +713,108 @@ def test_first_fit_stops_at_the_vertex_that_needs_a_kth_class():
     looped = _CountedMasks([0, 0b10, 0, 0])  # vertex 1 carries a loop
     assert _arc_free_classes(looped, 5) is None
     assert looped.read == 2
+
+
+def _comprehension_colouring_check(out, classes, k):
+    """Reference for `_is_arc_free_colouring`: its header, then a classes x n scan."""
+    n = len(out)
+    if (len(classes) >= k or sum(cls.bit_count() for cls in classes) != n
+            or functools.reduce(operator.or_, classes, 0) != (1 << n) - 1):
+        return False
+    return all(not out[v] & cls for cls in classes for v in range(n) if cls >> v & 1)
+
+
+def test_colouring_check_matches_the_comprehension():
+    verdicts = set()
+    for out in _oracle_digraphs():
+        n = len(out)
+        # First-fit's classes, or singletons where a loop leaves none: as they
+        # are, as k classes, with a vertex missing, with a vertex in two
+        # classes, and with an arc inside one.
+        classes = _arc_free_classes(out, n + 1) or [1 << v for v in range(n)]
+        lists = [(classes, n + 1), (classes, len(classes)),
+                 (classes[1:], n + 1), (classes + classes[:1], n + 1)]
+        for u, v in Digraph.from_masks(n, out).sorted_arcs():
+            if u != v:
+                lists.append(([cls | 1 << v if cls >> u & 1 else cls & ~(1 << v)
+                               for cls in classes], n + 1))
+                break
+        for cls, k in lists:
+            verdict = _is_arc_free_colouring(out, cls, k)
+            assert verdict == _comprehension_colouring_check(out, cls, k), (out, cls, k)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _assert_new_arc_search_is_exact(out, trial, k):
+    """Where out holds no T_k, `_find_new_tk` finds a T_k exactly when trial
+    holds one, and what it returns is a T_k of trial through a new arc."""
+    if _find_tk(out, k) is not None:
+        return None
+    found = _find_new_tk(out, trial, k)
+    assert (found is None) == (_find_tk(trial, k) is None), (out, trial, k)
+    if found is not None:
+        assert len(set(found)) == k
+        forward = list(itertools.combinations(found, 2))
+        assert all(trial[a] >> b & 1 for a, b in forward)
+        assert any(not out[a] >> b & 1 for a, b in forward), (out, trial, k, found)
+    return found is not None
+
+
+def _is_least_relabelling(out):
+    """Whether out's mask tuple is the least among its vertex relabellings."""
+    n = len(out)
+    return tuple(out) == min(
+        tuple(sum(1 << perm[v] for v in range(n) if out[u] >> v & 1)
+              for u in sorted(range(n), key=perm.__getitem__))
+        for perm in itertools.permutations(range(n)))
+
+
+def test_new_arc_search_matches_the_full_search():
+    # Every pair out <= trial on n <= 3 vertices, loops included, and on 4
+    # loopless vertices every pair up to relabelling (the trial is the least
+    # of its relabellings; no verdict depends on labels); then each oracle
+    # digraph (n <= 12) with 1-4 seeded arcs added, loops included.
+    trials = [masks for n in range(4) for masks in itertools.product(range(1 << n), repeat=n)]
+    trials += [d.out for d in iter_loopless_digraphs(4) if _is_least_relabelling(d.out)]
+    verdicts = set()
+    for trial in trials:
+        n = len(trial)
+        arcs = Digraph.from_masks(n, trial).sorted_arcs()
+        for bits in range(1 << len(arcs)):
+            out = [0] * n
+            for i, (u, v) in enumerate(arcs):
+                out[u] |= (bits >> i & 1) << v
+            for k in range(1, n + 2):
+                verdicts.add(_assert_new_arc_search_is_exact(out, trial, k))
+    rng = random.Random(35)
+    for out in filter(len, _oracle_digraphs()):  # n >= 1, to place arcs
+        n = len(out)
+        for k in range(1, n + 2):
+            trial = list(out)
+            for _ in range(rng.randint(1, 4)):
+                trial[rng.randrange(n)] |= 1 << rng.randrange(n)
+            verdicts.add(_assert_new_arc_search_is_exact(out, trial, k))
+    assert verdicts == {None, True, False}
+
+
+def test_new_arc_search_needs_a_tk_free_base():
+    # out holds the T_3 (0, 1, 2); the new arc 2 -> 3 lies in no T_3, so the
+    # search through it finds none although trial holds one.
+    out = Digraph(4, [(0, 1), (0, 2), (1, 2)]).out
+    trial = Digraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).out
+    assert _find_tk(trial, 3) == (0, 1, 2)
+    assert _find_new_tk(out, trial, 3) is None
+
+
+def test_new_arc_witness_is_checked_by_a_raise(monkeypatch):
+    # The check holds under -O: a tuple that is no T_k of trial raises.
+    out = Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3)]).out
+    trial = Digraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)]).out
+    assert _find_new_tk(out, trial, 4) == (0, 1, 2, 3)
+    monkeypatch.setattr(starpal.digraphs, "_find_tk", lambda masks, k: (0, 1, 3, 2))
+    with pytest.raises(RuntimeError, match="^internal error: new-arc T_k fails its check$"):
+        _find_new_tk(out, trial, 4)
 
 
 @pytest.fixture()

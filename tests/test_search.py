@@ -1,3 +1,4 @@
+import collections
 import importlib
 import itertools
 import random
@@ -15,8 +16,8 @@ from starpal.digraphs import (_arc_free_classes, _aux_masks, _find_tk,
 from starpal.errors import _Budget
 from starpal.goodness import DEFAULT_NODE_BUDGET
 from starpal.palette import _mask_triples, permute_colors
-from starpal.search import (OBJECTIVES, _Best, _bad_extension, _grow, _sorts_before,
-                            _tk_node_bound, _verify_bad)
+from starpal.search import (_UNCOUNTED, OBJECTIVES, _Best, _bad_extension, _grow,
+                            _sorts_before, _tk_node_bound, _verify_bad)
 
 OPTIMUM = Palette(2, [(0, 1, 0), (1, 0, 1)])
 
@@ -585,8 +586,8 @@ def _assert_extension_matches_is_bad(base, t, k):
     out = _aux_masks(base.num_colors, base.triples)
     star = make_star(k)
     size = len(base.triples)
-    # The decision without the base's node count, and with it when the base is bad.
-    counts = {None, _charge(base, k) - size} if is_bad(base, star) else {None}
+    # A base of unknown status, and when it is bad, one known bad with and without its count.
+    counts = {None, _UNCOUNTED, _charge(base, k) - size} if is_bad(base, star) else {None}
 
     def by_palette(budget):
         return is_bad(grown, star, node_budget=budget)
@@ -626,18 +627,24 @@ def test_bad_extension_matches_is_bad_on_every_two_color_base():
 def test_bad_extension_matches_is_bad_on_seeded_bases():
     rng = random.Random(12)
     verdicts = set()
-    for m in (3, 4, 5):
+    uncertified = collections.Counter()  # verdicts on bad bases that first-fit leaves open
+    for m, k in [*itertools.product((3, 4, 5), range(3, 8)), (6, 7)]:
         universe = list(iter_all_triples(m))
-        for k in range(3, 8):
-            for _ in range(4):
-                # Bad bases, as the searches extend, and arbitrary ones.
-                bad = random_bad_palette(k, m, rng)
-                any_base = Palette(m, rng.sample(universe, rng.randrange(m ** 3 // 3)))
-                for base in (bad, any_base):
-                    absent = [t for t in universe if t not in base.triples]
-                    for t in rng.sample(absent, min(6, len(absent))):
-                        verdicts.add(_assert_extension_matches_is_bad(base, t, k))
+        for _ in range(4):
+            # Bad bases, as the searches extend, and arbitrary ones.
+            bad = random_bad_palette(k, m, rng)
+            any_base = Palette(m, rng.sample(universe, rng.randrange(m ** 3 // 3)))
+            for base in (bad, any_base):
+                absent = [t for t in universe if t not in base.triples]
+                for t in rng.sample(absent, min(6, len(absent))):
+                    verdict = _assert_extension_matches_is_bad(base, t, k)
+                    verdicts.add(verdict)
+                    trial = _aux_masks(m, base.triples | {t})
+                    if (base is bad and t[0] != t[1] != t[2]
+                            and _arc_free_classes(trial, k) is None):
+                        uncertified[verdict] += 1
     assert verdicts == {True, False}
+    assert uncertified[True] > 0 and uncertified[False] > 0, uncertified
 
 
 def _reference_grow(p, order, k):
@@ -709,12 +716,13 @@ def _count_tk_searches(monkeypatch):
 
 
 def test_bad_extension_searches_only_below_the_colouring_threshold(monkeypatch):
-    # A trial that first-fit splits into k-1 arc-free classes, on a base with
-    # no node count to reuse, runs no T_k search once the budget covers
-    # |base| + 1 + `_tk_node_bound(2m, k)`, and one search a node below that.
+    # On a base known to be bad, counted or not, an uncovered trial runs no
+    # full T_k search once the budget covers |base| + 1 + `_tk_node_bound(2m, k)`,
+    # and one search, whose count it returns, a node below that.  A base of
+    # unknown status takes that search at either budget.
     searched = _count_tk_searches(monkeypatch)
     rng = random.Random(34)
-    certified = 0
+    decided = collections.Counter()
     for m in (2, 3, 4, 5):
         universe = list(iter_all_triples(m))
         for k in range(3, 8):
@@ -724,19 +732,27 @@ def test_bad_extension_searches_only_below_the_colouring_threshold(monkeypatch):
                 for base in (bad, any_base):
                     out, size = _aux_masks(m, base.triples), len(base.triples)
                     threshold = size + 1 + _tk_node_bound(2 * m, k)
+                    statuses = [None]
+                    if base is bad:
+                        statuses += [_UNCOUNTED, _charge(base, k) - size]
                     for t in universe:
-                        trial = _aux_masks(m, base.triples | {t})
-                        if (t in base.triples or t[0] == t[1] or t[1] == t[2]
-                                or _arc_free_classes(trial, k) is None):
+                        grown = Palette(m, base.triples | {t})
+                        trial = _aux_masks(m, grown.triples)
+                        if t in base.triples or t[0] == t[1] or t[1] == t[2] or trial == out:
                             continue
-                        certified += 1
-                        nodes = _charge(Palette(m, base.triples | {t}), k) - size - 1
-                        for budget, searches, count in ((threshold, 0, None),
-                                                        (threshold - 1, 1, nodes)):
+                        verdict = is_bad(grown, make_star(k))
+                        nodes = _charge(grown, k) - size - 1
+                        looped = has_loop(aux_digraph(grown)) is not None  # decided unsearched
+                        for status, budget in itertools.product(statuses,
+                                                                (threshold, threshold - 1)):
+                            full = status is None or budget < threshold
                             searched.clear()
-                            found = _bad_extension((out, None), size, t, k, budget)
-                            assert (found, len(searched)) == ((trial, count), searches)
-    assert certified > 0
+                            found = _bad_extension((out, status), size, t, k, budget)
+                            assert found == ((trial, nodes if full else _UNCOUNTED)
+                                             if verdict else None)
+                            assert len(searched) == (full and not looped)
+                            decided[status is None, full, verdict] += 1
+    assert len(decided) == 6, decided
 
 
 def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
@@ -747,9 +763,9 @@ def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
     grown = _grow(Palette(3), [*base, (0, 1, 0)], 4, _tk_node_bound(6, 4))
     assert grown == Palette(3, [*base, (0, 1, 0)])
     assert len(searched) == 3
-    # On a seeded pass, one search per loop-free decision that adds an arc;
-    # at a budget that clears the colouring threshold, one per such decision
-    # whose trial first-fit does not split into k-1 arc-free classes.
+    # On a seeded pass from the empty palette, one search per loop-free
+    # decision that adds an arc; at a budget that clears the threshold none,
+    # although first-fit leaves some trials open: every base is known bad.
     universe = list(iter_all_triples(5))
     random.Random(4).shuffle(universe)
     p, adding, uncertified, covered = Palette(5), 0, 0, 0
@@ -763,7 +779,19 @@ def test_grow_runs_no_tk_search_for_a_covered_triple(monkeypatch):
             if is_bad(Palette(5, p.triples | {t}), make_star(6)):
                 p = Palette(5, p.triples | {t})
     assert covered > 0 and 0 < uncertified < adding
-    for budget, expected in ((_tk_node_bound(10, 6), adding), (DEFAULT_NODE_BUDGET, uncertified)):
+    for budget, expected in ((_tk_node_bound(10, 6), adding), (DEFAULT_NODE_BUDGET, 0)):
         searched.clear()
         assert _grow(Palette(5), universe, 6, budget) == p
         assert len(searched) == expected
+    # A nonempty start has unknown status: each loop-free decision is searched
+    # until one is accepted, and the bases after it are known bad.  Here p
+    # less its last three triples in the order: every decision before the
+    # first of them is good.
+    start = Palette(5, p.triples.difference([t for t in universe if t in p.triples][-3:]))
+    loop_free = [t for t in universe if t[0] != t[1] != t[2] and t not in start.triples]
+    first = next(i for i, t in enumerate(loop_free)
+                 if is_bad(Palette(5, start.triples | {t}), make_star(6)))
+    assert first > 0
+    searched.clear()
+    assert _grow(start, universe, 6, DEFAULT_NODE_BUDGET) == p
+    assert len(searched) == first + 1
