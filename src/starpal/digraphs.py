@@ -329,11 +329,10 @@ def brute_max_arcs(n: int, k: int) -> int:
 
 def _arc_positions(n: int) -> list[Arc]:
     """The n(n-1) loopless arc positions, u-major; EnumerationCapExceeded over the cap."""
-    positions = [(u, v) for u in range(n) for v in range(n) if u != v]
-    if len(positions) > MAX_BRUTE_ARC_POSITIONS:
+    if n * (n - 1) > MAX_BRUTE_ARC_POSITIONS:
         raise EnumerationCapExceeded(
-            f"{len(positions)} arc positions exceed cap {MAX_BRUTE_ARC_POSITIONS} (n={n})")
-    return positions
+            f"{n * (n - 1)} arc positions exceed cap {MAX_BRUTE_ARC_POSITIONS} (n={n})")
+    return [(u, v) for u in range(n) for v in range(n) if u != v]
 
 
 def iter_loopless_digraphs(n: int) -> Iterator[Digraph]:

@@ -258,7 +258,7 @@ def _bad_extension(base: _Base, size: int, t: Triple, k: int,
 @functools.lru_cache(maxsize=None)
 def _tk_node_bound(n: int, k: int) -> int:
     """Most nodes `_find_tk` visits on n vertices: the root and each ordered tuple of <= k."""
-    return sum(math.perm(n, d) for d in range(k + 1))
+    return sum(math.perm(n, d) for d in range(min(n, k) + 1))
 
 
 def _grow(p: Palette, order: Iterable[Triple], k: int, node_budget: int) -> Palette:

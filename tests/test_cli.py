@@ -450,6 +450,39 @@ def test_local_search_at_k_minus_one_colours_is_pinned(monkeypatch, capsys):
     _digests(parser, monkeypatch, capsys, "search-local-m-k1-4000.sha256", runs, formats)
 
 
+def test_local_search_at_seven_and_eight_colours_is_pinned(monkeypatch, capsys):
+    # `search --mode local` at m = 7 and 8, where canonical_form has the most
+    # relabelings to drop: (k, m) = (8, 7) at 100 iterations and (4, 8) at 300.
+    parser, formats = starpal.cli.build_parser(), {"text": [], "json": ["--json"]}
+    runs = [("", ["search", "--star", k, "--colors", m, "--mode", "local", "--iterations", n])
+            for k, m, n in (("8", "7", "100"), ("4", "8", "300"))]
+    _digests(parser, monkeypatch, capsys, "search-local-m7-m8.sha256", runs, formats)
+
+
+# Option values whose cost once grew with the value itself: `--star` summed a
+# term per d <= k in `_tk_node_bound`, and `--max-n` built every arc position
+# before comparing their number with the cap.  Each runs `main` in a child
+# process under a 1 GiB address-space limit and a wall limit, so a regression
+# fails here instead of hanging or exhausting the machine's memory.
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["search", "--star", "99999999999999999999", "--colors", "2"], 0,
+     "# search k=99999999999999999999 colors=2 objective=density mode=exhaustive seed=0 "
+     "dedup=false\n# examined 256 bad 4 certificate true budget_exhausted false\n"
+     "# best density 1/4\npalette 2\n0 1 0\n1 0 1\n", ""),
+    (["verify", "--k", "4", "--lemma", "caro-wei", "--max-n", "20000"], 3, "",
+     "error: 399980000 arc positions exceed cap 20 (n=20000)\n"),
+], ids=["star-1e20", "max-n-20000"])
+def test_huge_option_values_answer_in_bounded_time(argv, code, out, err):
+    limit = 1 << 30
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "from starpal.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_search_local_above_canonical_colors():
     # Nine colors is past canonical_form's reach; the report is a representative.
     proc = run("search", "--star", "4", "--colors", "9", "--mode", "local",

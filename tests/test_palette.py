@@ -11,7 +11,8 @@ from starpal import (POSITION_PAIRS, FormatError, Palette, admissible_pairs,
                      canonical_form, compute_stats, iter_all_triples, parse_digraph,
                      parse_palette, parse_threegraph, permute_colors, remove_color,
                      serialize_palette)
-from starpal.palette import _orbit_sweep
+from starpal.palette import _mask_triples, _orbit_sweep, _relabeled_masks
+from starpal.search import random_bad_palette, random_maximal_bad_palette
 
 palettes = st.integers(1, 3).flatmap(
     lambda m: st.builds(
@@ -260,17 +261,52 @@ def _least_relabeling(p):
                for perm in itertools.permutations(range(p.num_colors)))
 
 
+def _largest_relabeled_mask(p):
+    """The canonical form by brute force: the largest of all m! relabeled masks, decoded."""
+    m = p.num_colors
+    return Palette(m, _mask_triples(m, max(_relabeled_masks(m, p.triples))))
+
+
+def _lower_bound_palette(m):
+    """P_{m+1}: triples over m colours with a != b, b != c and c != a + 1 (mod m)."""
+    return Palette(m, [(a, b, c) for (a, b, c) in iter_all_triples(m)
+                       if a != b and b != c and c != (a + 1) % m])
+
+
 def test_canonical_form_matches_permutation_oracle():
     universe = list(iter_all_triples(2))
     for bits in range(1 << len(universe)):
         p = Palette(2, [t for i, t in enumerate(universe) if bits >> i & 1])
         assert canonical_form(p).sorted_triples() == _least_relabeling(p)
+        assert canonical_form(p) == _largest_relabeled_mask(p)
     rng = random.Random(17)
     for m in (3, 4):
         universe = list(iter_all_triples(m))
         for _ in range(150):
             p = Palette(m, rng.sample(universe, rng.randrange(len(universe) + 1)))
             assert canonical_form(p).sorted_triples() == _least_relabeling(p)
+            assert canonical_form(p) == _largest_relabeled_mask(p)
+    # Seeded bad palettes, whose rows (a, a) are all empty, and the empty and
+    # full palettes and P_{m+1}, where many relabelings tie on every row.
+    rng = random.Random(36)
+    for m in range(3, 7):
+        palettes = [Palette(m), Palette(m, iter_all_triples(m)), _lower_bound_palette(m)]
+        for k in (4, 5, m + 1):
+            palettes += [random_maximal_bad_palette(k, m, rng), random_bad_palette(k, m, rng)]
+        for p in palettes:
+            assert canonical_form(p) == _largest_relabeled_mask(p), p
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_canonical_form_is_invariant_and_idempotent_at_seven_and_eight_colours(m):
+    rng = random.Random(m)
+    for p in (random_maximal_bad_palette(5, m, rng), _lower_bound_palette(m)):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        c = canonical_form(p)
+        assert canonical_form(permute_colors(p, perm)) == c
+        assert canonical_form(c) == c
+        assert len(c.triples) == len(p.triples)
 
 
 def _graph_sweep(n, triangle_free):
